@@ -1,40 +1,10 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
+
+	"kascade/internal/bufpool"
 )
-
-// bufArena recycles chunk backing arrays ACROSS pools: sessions (and their
-// pools) come and go — a multiplexed engine churns through dozens per
-// second — but the payload buffers stay hot instead of being re-allocated
-// (and re-zeroed: a fresh 256 KiB make() is a mallocgcLarge + memclr on
-// every miss) for every broadcast. One sync.Pool per buffer size; the GC
-// still reclaims idle arenas, so a burst of large-chunk sessions does not
-// pin memory forever.
-type bufArena struct {
-	pools sync.Map // int (buffer size) -> *sync.Pool of *[]byte
-}
-
-var arena bufArena
-
-func (a *bufArena) get(size int) []byte {
-	if p, ok := a.pools.Load(size); ok {
-		if b, _ := p.(*sync.Pool).Get().(*[]byte); b != nil {
-			return *b
-		}
-	}
-	return make([]byte, size)
-}
-
-func (a *bufArena) put(size int, b []byte) {
-	p, ok := a.pools.Load(size)
-	if !ok {
-		p, _ = a.pools.LoadOrStore(size, &sync.Pool{})
-	}
-	b = b[:cap(b)]
-	p.(*sync.Pool).Put(&b)
-}
 
 // chunkPool recycles the fixed-size payload buffers that flow through the
 // relay hot path. It is a bounded free list: get reuses a parked chunk when
@@ -73,18 +43,19 @@ func (p *chunkPool) get(n int) *chunk {
 	select {
 	case c = <-p.free:
 	default:
-		c = &chunk{pool: p, buf: arena.get(p.size)}
+		c = &chunk{pool: p, buf: bufpool.Get(p.size)}
 	}
 	c.n = n
 	c.refs.Store(1)
 	return c
 }
 
-// drain hands every parked buffer back to the cross-session arena — the
-// session is over, its pool is about to die, but the next broadcast with
-// the same chunk size should not have to allocate (and zero) fresh
-// buffers. Chunks still referenced elsewhere are untouched; whatever they
-// park after this point goes to the GC with the pool.
+// drain hands every parked buffer back to the cross-session arena
+// (internal/bufpool) — the session is over, its pool is about to die, but
+// the next broadcast with the same chunk size should not have to allocate
+// (and zero) fresh buffers. Chunks still referenced elsewhere are
+// untouched; whatever they park after this point goes to the GC with the
+// pool.
 func (p *chunkPool) drain() {
 	if p == nil {
 		return
@@ -92,7 +63,7 @@ func (p *chunkPool) drain() {
 	for {
 		select {
 		case c := <-p.free:
-			arena.put(p.size, c.buf)
+			bufpool.Put(c.buf)
 		default:
 			return
 		}
@@ -142,7 +113,7 @@ func (c *chunk) release() {
 	default:
 		// Free list full: recycle the backing array across sessions
 		// instead of dropping it to the GC.
-		arena.put(c.pool.size, c.buf)
+		bufpool.Put(c.buf)
 	}
 }
 

@@ -4,38 +4,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"kascade/internal/transport"
 )
-
-// vecConn is a discarding transport.Conn that records vectored writes, so
-// tests can drive the relay's forwarding path without a real peer.
-type vecConn struct {
-	writes   int
-	vecCalls int
-	bytes    int64
-}
-
-func (v *vecConn) Read(p []byte) (int, error) { return 0, nil }
-func (v *vecConn) Write(p []byte) (int, error) {
-	v.writes++
-	v.bytes += int64(len(p))
-	return len(p), nil
-}
-func (v *vecConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	v.vecCalls++
-	var total int64
-	for i := range bufs {
-		total += int64(len(bufs[i]))
-		bufs[i] = nil
-	}
-	v.bytes += total
-	return total, nil
-}
-func (v *vecConn) Close() error                     { return nil }
-func (v *vecConn) SetDeadline(time.Time) error      { return nil }
-func (v *vecConn) SetReadDeadline(time.Time) error  { return nil }
-func (v *vecConn) SetWriteDeadline(time.Time) error { return nil }
-func (v *vecConn) LocalAddr() string                { return "a:0" }
-func (v *vecConn) RemoteAddr() string               { return "b:0" }
 
 func TestChunkPoolRecyclesBuffers(t *testing.T) {
 	pool := newChunkPool(64, 2)
@@ -73,45 +44,107 @@ func TestChunkReleasePanicsOnDoubleRelease(t *testing.T) {
 	c.release()
 }
 
-// TestRelayPathAllocs is the allocation regression guard for the hot path:
-// receive a chunk into a pooled buffer, append it to the ring (ownership
-// move, no copy), read it back for forwarding, and emit it as one vectored
-// DATA write. Steady state must not allocate — the ≤1 budget absorbs
-// runtime noise only.
+// TestRelayPathAllocs is the allocation regression guard for the path a
+// relay runs on a Fabric: a DATA frame arrives on a deadline-armed pipe,
+// wire.readDataInto lands it in a pooled buffer, ingest appends it to the
+// ring (ownership move, no copy), nextBatch reads it back and
+// writeDataBatch emits it through the stallWriter as one vectored write
+// into the next pipe. Deadlines are set where serveUpstream and
+// serveSuccessor set them. Steady state must not allocate — the ≤1 budget
+// absorbs runtime noise only. AllocsPerRun counts every goroutine, so the
+// feeding predecessor and the draining successor are held to it too.
 func TestRelayPathAllocs(t *testing.T) {
 	const chunkSize = 4 << 10
-	pool := newChunkPool(chunkSize, 40)
-	ws := newWindowStore(chunkSize, 32, pool)
-	conn := &vecConn{}
-	w := newWire(conn, SystemClock())
-	batch := make([]*chunk, 1)
-	var off uint64
-
-	allocs := testing.AllocsPerRun(300, func() {
-		// Upstream side: one DATA payload lands in a pooled buffer.
-		c := pool.get(chunkSize)
-		if err := ws.Append(c); err != nil {
-			t.Fatal(err)
-		}
-		// Downstream side: forward it with a vectored write.
-		got, err := ws.ChunkAt(off)
+	opts := Options{ChunkSize: chunkSize, WindowChunks: 32}.withDefaults()
+	fabric := transport.NewFabric(4 * chunkSize) // small rings: reads and writes really block
+	link := func(from, to string) (dialed, accepted transport.Conn) {
+		l, err := fabric.Host(to).Listen(":1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch[0] = got
-		if err := w.writeDataBatch(batch); err != nil {
+		defer l.Close()
+		if dialed, err = fabric.Host(from).Dial(to+":1", time.Second); err != nil {
 			t.Fatal(err)
 		}
-		got.release()
-		batch[0] = nil
-		off += chunkSize
+		if accepted, err = l.Accept(); err != nil {
+			t.Fatal(err)
+		}
+		return dialed, accepted
+	}
+	predOut, relayIn := link("pred", "relay")
+	relayOut, succIn := link("relay", "succ")
+	defer predOut.Close()
+	defer succIn.Close()
+
+	pool := newChunkPool(chunkSize, opts.WindowChunks+poolSlack)
+	ws := newWindowStore(chunkSize, opts.WindowChunks, pool)
+	n := &Node{opts: opts, clk: SystemClock(), st: ws, ws: ws, pool: pool}
+	in := n.newWire(relayIn)
+	out := n.newWire(relayOut)
+	out.out = &stallWriter{
+		conn:   relayOut,
+		now:    n.clk.Now,
+		stall:  opts.WriteStallTimeout,
+		budget: opts.FetchTimeout,
+		probe:  func() bool { return true },
+	}
+
+	go func() { // predecessor: DATA frames as fast as the relay takes them
+		w := newWire(predOut, SystemClock())
+		payload := make([]byte, chunkSize)
+		for w.writeData(payload) == nil {
+		}
+	}()
+	go func() { // successor: drain
+		buf := make([]byte, 2*chunkSize)
+		for {
+			if _, err := succIn.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+
+	scratch := make([]*chunk, 0, maxBatchChunks)
+	var off uint64
+	relayOne := func() {
+		in.setReadDeadlineIn(opts.pollInterval())
+		typ, err := in.readType()
+		if err != nil || typ != MsgData {
+			t.Fatalf("frame type %v, %v", typ, err)
+		}
+		in.setReadDeadlineIn(opts.UpstreamIdleTimeout)
+		size, err := in.readDataSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := in.readDataInto(pool, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.ingest(c); err != nil {
+			t.Fatal(err)
+		}
+		batch, batchBytes, err := n.nextBatch(off, scratch[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := out.writeDataBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range batch {
+			c.release()
+			batch[i] = nil
+		}
+		off += uint64(batchBytes)
 		ws.SetLowWater(off)
-	})
+	}
+	allocs := testing.AllocsPerRun(300, relayOne)
+	t.Logf("%.0f allocs per relayed chunk", allocs)
 	if allocs > 1 {
 		t.Errorf("relay path allocates %.1f times per chunk, want <= 1", allocs)
 	}
-	if conn.vecCalls == 0 {
-		t.Fatal("vectored write path was never taken")
+	if off == 0 {
+		t.Fatal("nothing was relayed")
 	}
 }
 

@@ -161,6 +161,10 @@ func (n *Node) serveSuccessor(ctx context.Context, succ int, cur *childCursor, q
 		}
 	}
 
+	// fe is errors.As's target in the loop below; declared here because it
+	// escapes, and inside the loop that is one allocation per batch.
+	var fe *ForgetError
+
 	// noSplice remembers a permanent splice decline for this connection
 	// (incapable transport, broken splice, stream over), so the steady
 	// pooled path pays no per-batch rendezvous.
@@ -205,7 +209,6 @@ streamLoop:
 			// Transient decline: drain what the pooled path has.
 		}
 		batch, batchBytes, cerr := n.nextBatch(off, scratch[:0])
-		var fe *ForgetError
 		switch {
 		case cerr == nil:
 			wStart := n.clk.Now()
@@ -529,6 +532,9 @@ func (s *stallWriter) WriteBuffers(bufs [][]byte) (int64, error) {
 	// Work on a scratch copy: the backend consumes entries in place as it
 	// writes (the BuffersWriter contract), and a deadline can leave the
 	// batch partially sent mid-slice.
+	if cap(s.vec) < len(bufs) {
+		s.vec = make([][]byte, 0, cap(bufs))
+	}
 	s.vec = append(s.vec[:0], bufs...)
 	pending := s.vec
 	var total int64

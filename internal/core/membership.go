@@ -9,6 +9,7 @@ import (
 	"os"
 	"sync"
 
+	"kascade/internal/bufpool"
 	"kascade/internal/transport"
 )
 
@@ -427,12 +428,8 @@ func newJoinState(sink io.Writer, head uint64, budget int64, chunkCap int) *join
 		budget:   budget,
 		chunkCap: chunkCap,
 		done:     make(chan struct{}),
-		getBuf: func(n int) []byte {
-			return arena.get(n)
-		},
-		putBuf: func(b []byte) {
-			arena.put(cap(b), b)
-		},
+		getBuf:   bufpool.Get,
+		putBuf:   bufpool.Put,
 	}
 	if head == 0 || sink == nil {
 		// Nothing to backfill (or nobody reading): write-through from the

@@ -144,7 +144,8 @@ type wire struct {
 	br   *bufio.Reader
 	out  io.Writer        // conn, or a stallWriter wrapping it
 	now  func() time.Time // deadline base, injectable via Options.Clock
-	hdr  [17]byte         // scratch header buffer
+	hdr  [17]byte         // scratch header buffer for writes
+	rhdr [13]byte         // scratch for fixed-size reads (a local array would escape through io.ReadFull)
 
 	hdrs []byte   // scratch DATA headers for vectored batches (5 B each)
 	vec  [][]byte // scratch iovec: header, payload, header, payload, ...
@@ -175,26 +176,33 @@ func (w *wire) readFull(p []byte) error {
 	return err
 }
 
+// readHeader reads the next n bytes (n <= len(w.rhdr)) into the read
+// scratch. The result is valid until the next read on w.
+func (w *wire) readHeader(n int) ([]byte, error) {
+	b := w.rhdr[:n]
+	return b, w.readFull(b)
+}
+
 func (w *wire) readUint64() (uint64, error) {
-	var b [8]byte
-	if err := w.readFull(b[:]); err != nil {
+	b, err := w.readHeader(8)
+	if err != nil {
 		return 0, err
 	}
-	return binary.BigEndian.Uint64(b[:]), nil
+	return binary.BigEndian.Uint64(b), nil
 }
 
 func (w *wire) readUint32() (uint32, error) {
-	var b [4]byte
-	if err := w.readFull(b[:]); err != nil {
+	b, err := w.readHeader(4)
+	if err != nil {
 		return 0, err
 	}
-	return binary.BigEndian.Uint32(b[:]), nil
+	return binary.BigEndian.Uint32(b), nil
 }
 
 // readHello parses the payload of a HELLO frame (after its type byte).
 func (w *wire) readHello() (Role, int, error) {
-	var b [5]byte
-	if err := w.readFull(b[:]); err != nil {
+	b, err := w.readHeader(5)
+	if err != nil {
 		return 0, 0, err
 	}
 	return Role(b[0]), int(binary.BigEndian.Uint32(b[1:])), nil
@@ -203,8 +211,8 @@ func (w *wire) readHello() (Role, int, error) {
 // readHello2 parses the payload of a HELLO v2 frame (after its type byte):
 // role, node index, then the 8-byte broadcast session ID.
 func (w *wire) readHello2() (Role, int, SessionID, error) {
-	var b [13]byte
-	if err := w.readFull(b[:]); err != nil {
+	b, err := w.readHeader(13)
+	if err != nil {
 		return 0, 0, 0, err
 	}
 	return Role(b[0]), int(binary.BigEndian.Uint32(b[1:5])), SessionID(binary.BigEndian.Uint64(b[5:])), nil
@@ -419,8 +427,13 @@ const dataFrameHeader = 5
 // so a steady relay emits batches without allocating. The caller keeps its
 // chunk references; payload bytes are only read.
 func (w *wire) writeDataBatch(cs []*chunk) error {
-	if need := dataFrameHeader * len(cs); cap(w.hdrs) < need {
-		w.hdrs = make([]byte, need)
+	if cap(w.vec) < 2*len(cs) {
+		// Size both scratch slices (always together, so checking one
+		// covers the other) to the caller's batch capacity, not this
+		// batch's length: a connection whose batches grow as its
+		// successor falls behind allocates once.
+		w.hdrs = make([]byte, dataFrameHeader*cap(cs))
+		w.vec = make([][]byte, 0, 2*cap(cs))
 	}
 	w.vec = w.vec[:0]
 	for i, c := range cs {

@@ -34,7 +34,10 @@ type Fabric struct {
 }
 
 // NewFabric returns an empty fabric. bufSize is the per-direction pipe
-// buffer in bytes; 0 selects the default (256 KiB).
+// capacity in bytes — how far a writer may run ahead of its reader before
+// it blocks; 0 selects the default (256 KiB). Dialing reserves nothing: a
+// direction takes a ring of that size from a process-wide pool on its first
+// write and returns it when the connection closes or breaks.
 func NewFabric(bufSize int) *Fabric {
 	return &Fabric{
 		listeners: make(map[string]*memListener),
@@ -318,8 +321,10 @@ func (hn *hostNet) Dial(addr string, timeout time.Duration) (Conn, error) {
 	case target.pending <- cRemote:
 		return cLocal, nil
 	case <-target.done:
+		f.forget(cLocal, cRemote)
 		return nil, fmt.Errorf("memnet dial %s: %w", addr, ErrRefused)
 	case <-timer:
+		f.forget(cLocal, cRemote)
 		return nil, &timeoutError{"dial " + addr}
 	}
 }
@@ -331,9 +336,11 @@ func (hn *hostNet) qualify(addr string) string {
 	return addr
 }
 
-func (f *Fabric) forget(c *pipeConn) {
+func (f *Fabric) forget(conns ...*pipeConn) {
 	f.mu.Lock()
-	delete(f.conns, c)
+	for _, c := range conns {
+		delete(f.conns, c)
+	}
 	f.mu.Unlock()
 }
 

@@ -5,11 +5,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"kascade/internal/bufpool"
 )
 
-// defaultPipeBuffer is the per-direction buffer of an in-memory connection.
-// It plays the role of the kernel socket buffer: writers block once it is
-// full, which is what propagates back-pressure through a broadcast pipeline.
+// defaultPipeBuffer is the per-direction capacity of an in-memory
+// connection. It plays the role of the kernel socket buffer: writers block
+// once that many bytes are in flight, which is what propagates
+// back-pressure through a broadcast pipeline. It is a bound, not a
+// reservation: the ring behind it exists only while the direction carries
+// bytes (see halfPipe.buf).
 const defaultPipeBuffer = 256 << 10
 
 // halfPipe is one direction of an in-memory connection: a ring buffer with
@@ -20,9 +25,15 @@ type halfPipe struct {
 	canRead  *sync.Cond // signalled when data arrives or state changes
 	canWrite *sync.Cond // signalled when space frees or state changes
 
-	buf  []byte // ring storage
-	r, w int    // read/write cursors
-	n    int    // bytes currently buffered
+	// buf is the ring storage, size bytes from bufpool. The first write
+	// attaches it — a direction that never carries a byte (most
+	// back-channels) never owns one — and dropRing hands it back at the
+	// moment no byte can move any more. Recycled rings arrive dirty; reads
+	// are bounded by n.
+	buf  []byte
+	size int // ring capacity: where back-pressure starts
+	r, w int // read/write cursors
+	n    int // bytes currently buffered
 
 	wClosed bool  // write end closed: drain then EOF
 	rClosed bool  // read end closed: writes fail immediately
@@ -31,34 +42,60 @@ type halfPipe struct {
 
 	readDeadline  time.Time
 	writeDeadline time.Time
+	readTimer     waitTimer
+	writeTimer    waitTimer
+}
+
+// waitTimer wakes the waiters of one cond when their deadline passes. The
+// timer is created by the first timed wait and re-armed by every later one,
+// so a blocked read or write costs a Reset, not an allocation.
+type waitTimer struct {
+	t       *time.Timer
+	waiters int // timed waiters parked on the cond; the last one out stops t
 }
 
 func newHalfPipe(size int) *halfPipe {
 	if size <= 0 {
 		size = defaultPipeBuffer
 	}
-	h := &halfPipe{buf: make([]byte, size)}
+	h := &halfPipe{size: size}
 	h.canRead = sync.NewCond(&h.mu)
 	h.canWrite = sync.NewCond(&h.mu)
 	return h
 }
 
-// waitWithDeadline blocks on cond until broadcast, honouring the deadline.
-// It returns false when the deadline has already expired. The caller must
-// hold h.mu and re-check its predicate afterwards.
-func (h *halfPipe) waitWithDeadline(cond *sync.Cond, deadline time.Time, op string) error {
+// waitWithDeadline blocks on cond until broadcast, honouring the deadline:
+// it returns a timeout error when the deadline has already expired. The
+// caller must hold h.mu and re-check its predicate afterwards. wt is the
+// cond's timer; every deadline wait in the fabric's byte path arms it here.
+func (h *halfPipe) waitWithDeadline(cond *sync.Cond, wt *waitTimer, deadline time.Time, op string) error {
 	if deadline.IsZero() {
 		cond.Wait()
 		return nil
 	}
-	now := time.Now()
-	if !now.Before(deadline) {
+	d := time.Until(deadline)
+	if d <= 0 {
 		return &timeoutError{op}
 	}
-	timer := time.AfterFunc(deadline.Sub(now), cond.Broadcast)
+	if wt.t == nil {
+		wt.t = time.AfterFunc(d, cond.Broadcast)
+	} else {
+		wt.t.Reset(d)
+	}
+	wt.waiters++
 	cond.Wait()
-	timer.Stop()
+	if wt.waiters--; wt.waiters == 0 {
+		wt.t.Stop()
+	}
 	return nil
+}
+
+func (h *halfPipe) waitRead() error {
+	return h.waitWithDeadline(h.canRead, &h.readTimer, h.readDeadline, "read")
+}
+
+func (h *halfPipe) waitWrite() error {
+	return h.waitWithDeadline(h.canWrite, &h.writeTimer, h.writeDeadline, "write")
 }
 
 func (h *halfPipe) read(p []byte) (int, error) {
@@ -72,7 +109,7 @@ func (h *halfPipe) read(p []byte) (int, error) {
 			return 0, ErrClosed
 		}
 		if h.paused {
-			if err := h.waitWithDeadline(h.canRead, h.readDeadline, "read"); err != nil {
+			if err := h.waitRead(); err != nil {
 				return 0, err
 			}
 			continue
@@ -89,46 +126,16 @@ func (h *halfPipe) read(p []byte) (int, error) {
 		if len(p) == 0 {
 			return 0, nil
 		}
-		if err := h.waitWithDeadline(h.canRead, h.readDeadline, "read"); err != nil {
+		if err := h.waitRead(); err != nil {
 			return 0, err
 		}
 	}
 }
 
 func (h *halfPipe) write(p []byte) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	total := 0
-	for len(p) > 0 {
-		if h.hardErr != nil {
-			return total, h.hardErr
-		}
-		if h.wClosed {
-			return total, ErrClosed
-		}
-		if h.rClosed {
-			// Peer closed its read side: behave like a TCP RST.
-			return total, ErrReset
-		}
-		if h.paused {
-			if err := h.waitWithDeadline(h.canWrite, h.writeDeadline, "write"); err != nil {
-				return total, err
-			}
-			continue
-		}
-		if space := len(h.buf) - h.n; space > 0 {
-			n := copy(h.contiguousWrite(), p)
-			h.advanceWrite(n)
-			p = p[n:]
-			total += n
-			h.canRead.Broadcast()
-			continue
-		}
-		if err := h.waitWithDeadline(h.canWrite, h.writeDeadline, "write"); err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	bufs := [1][]byte{p}
+	n, err := h.writev(bufs[:])
+	return int(n), err
 }
 
 // writev copies every slice of bufs into the ring under a single lock
@@ -151,15 +158,19 @@ func (h *halfPipe) writev(bufs [][]byte) (int64, error) {
 			return total, ErrClosed
 		}
 		if h.rClosed {
+			// Peer closed its read side: behave like a TCP RST.
 			return total, ErrReset
 		}
 		if h.paused {
-			if err := h.waitWithDeadline(h.canWrite, h.writeDeadline, "write"); err != nil {
+			if err := h.waitWrite(); err != nil {
 				return total, err
 			}
 			continue
 		}
-		if space := len(h.buf) - h.n; space > 0 {
+		if h.buf == nil {
+			h.buf = bufpool.Get(h.size)
+		}
+		if h.n < len(h.buf) {
 			n := copy(h.contiguousWrite(), bufs[0])
 			h.advanceWrite(n)
 			bufs[0] = bufs[0][n:]
@@ -167,7 +178,7 @@ func (h *halfPipe) writev(bufs [][]byte) (int64, error) {
 			h.canRead.Broadcast()
 			continue
 		}
-		if err := h.waitWithDeadline(h.canWrite, h.writeDeadline, "write"); err != nil {
+		if err := h.waitWrite(); err != nil {
 			return total, err
 		}
 	}
@@ -211,10 +222,21 @@ func (h *halfPipe) closeWrite() {
 	h.canWrite.Broadcast()
 }
 
+// dropRing returns the ring to the pool. The caller holds h.mu and has just
+// put the direction in a state where reads and writes fail before they
+// look at the ring, so whatever it still buffers is unreachable.
+func (h *halfPipe) dropRing() {
+	if h.buf != nil {
+		bufpool.Put(h.buf)
+		h.buf, h.r, h.w, h.n = nil, 0, 0, 0
+	}
+}
+
 // closeRead marks the reader side done: subsequent peer writes fail.
 func (h *halfPipe) closeRead() {
 	h.mu.Lock()
 	h.rClosed = true
+	h.dropRing()
 	h.mu.Unlock()
 	h.canRead.Broadcast()
 	h.canWrite.Broadcast()
@@ -238,6 +260,7 @@ func (h *halfPipe) breakWith(err error) {
 	if h.hardErr == nil {
 		h.hardErr = err
 	}
+	h.dropRing()
 	h.mu.Unlock()
 	h.canRead.Broadcast()
 	h.canWrite.Broadcast()
