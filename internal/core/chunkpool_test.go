@@ -165,7 +165,7 @@ func TestWindowStoreReplayHoldsRefAcrossEviction(t *testing.T) {
 	for i := range first.bytes() {
 		first.bytes()[i] = 0xAA
 	}
-	if err := ws.Append(first); err != nil {
+	if _, err := ws.Append(first); err != nil {
 		t.Fatal(err)
 	}
 	held, err := ws.ChunkAt(0) // the slow replay's reference
@@ -181,7 +181,7 @@ func TestWindowStoreReplayHoldsRefAcrossEviction(t *testing.T) {
 			for j := range c.bytes() {
 				c.bytes()[j] = byte(i)
 			}
-			if ws.Append(c) != nil {
+			if _, err := ws.Append(c); err != nil {
 				return
 			}
 		}

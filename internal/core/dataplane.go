@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"runtime"
 )
 
 // This file is the ingest half of the node's data plane: chunking the
@@ -21,7 +22,7 @@ func (n *Node) readInput() {
 		nr, err := io.ReadFull(n.cfg.Input, c.bytes())
 		if nr > 0 {
 			c.truncate(nr)
-			if aerr := n.ws.Append(c); aerr != nil {
+			if _, aerr := n.ws.Append(c); aerr != nil {
 				return
 			}
 			total += uint64(nr)
@@ -44,10 +45,23 @@ func (n *Node) readInput() {
 // ingest stores and sinks one received chunk, consuming the caller's
 // reference. The payload is shared, never copied: the window store takes
 // one reference, and a second keeps the bytes alive for the sink write.
+//
+// A chain relay forwards cut-through. When the chunk woke exactly one
+// consumer parked in ChunkAt, that consumer is the relay's idle
+// forwarder, and ingest yields its processor after the sink write, so the
+// chunk leaves for the successor before the next frame is read. Without
+// the yield the runtime queues the woken forwarder behind this goroutine,
+// which does not block while its upstream's batch is still in the pipe:
+// the relay would ingest the whole batch first. A busy forwarder is not
+// parked and keeps coalescing. A tree relay that woke several forwarders
+// does not yield: a tree already keeps the cores busy, and per-chunk
+// trips through the run queue only cost it CPU. Engine-attached sessions
+// forward through the scheduler and never park in ChunkAt.
 func (n *Node) ingest(c *chunk) error {
 	size := uint64(len(c.bytes()))
 	c.retain() // keep the payload readable for the sink after Append
-	if err := n.ws.Append(c); err != nil {
+	woken, err := n.ws.Append(c)
+	if err != nil {
 		c.release()
 		return err
 	}
@@ -66,5 +80,8 @@ func (n *Node) ingest(c *chunk) error {
 		return ErrAbandoned
 	}
 	n.emit(TraceChunk, -1, n.bytesIn.Add(size), "")
+	if woken == 1 {
+		runtime.Gosched()
+	}
 	return nil
 }

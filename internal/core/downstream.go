@@ -291,10 +291,12 @@ streamLoop:
 // hands them a turn — a claimed chunk batch, or the store's terminal
 // condition — so a host full of overlapping sessions wakes each forwarder
 // once per batch instead of once per chunk. Nodes owning their listener
-// (and sessions whose engine shut down mid-stream) block on the store
-// directly and coalesce whatever is buffered, exactly the old hot path.
-// The returned chunks are retained; the caller releases them after the
-// write.
+// (and sessions whose engine shut down mid-stream) park in the store's
+// ChunkAt and coalesce whatever is buffered behind the first chunk. On a
+// chain relay the lone parked forwarder is handed the processor as each
+// chunk lands (Node.ingest), so an idle successor gets one chunk per
+// write and a lagging one gets a batch. The returned chunks are retained;
+// the caller releases them after the write.
 func (n *Node) nextBatch(off uint64, scratch []*chunk) ([]*chunk, int, error) {
 	if t := n.sentry.next(off); !t.inline {
 		return t.batch, t.n, t.err
@@ -468,17 +470,20 @@ func (n *Node) expectType(ctx context.Context, w *wire, succ int, addr string, w
 		}
 		if transport.IsTimeout(err) {
 			remaining -= stall
-			if remaining <= 0 {
-				if !quiet {
-					n.recordFailure(succ, fmt.Sprintf("no %v within %v", want, budget), n.st.Head())
-				}
-				return outcomeDead, nil
-			}
-			if n.probe(addr) {
+			if remaining > 0 && n.probe(addr) {
 				continue
 			}
+			if n.rerankFinished(succ) {
+				// The child's ring spoke landed while we waited: it
+				// finished its copy and detached, it did not die.
+				return outcomeSuperseded, nil
+			}
 			if !quiet {
-				n.recordFailure(succ, fmt.Sprintf("stalled awaiting %v, ping unanswered", want), n.st.Head())
+				reason := fmt.Sprintf("stalled awaiting %v, ping unanswered", want)
+				if remaining <= 0 {
+					reason = fmt.Sprintf("no %v within %v", want, budget)
+				}
+				n.recordFailure(succ, reason, n.st.Head())
 			}
 			return outcomeDead, nil
 		}

@@ -272,6 +272,17 @@ type rateReport struct {
 	Ingest  float64    `json:"ingest,omitempty"`
 	Have    uint64     `json:"have,omitempty"` // payload bytes ingested so far
 	Links   []linkRate `json:"links,omitempty"`
+
+	at time.Time // arrival at node 0 (not on the wire)
+}
+
+// haveBy estimates how many payload bytes the reporter holds at now: its
+// Have advanced at its ingest rate for the report's age. Spokes come one
+// RerankInterval apart and stop once the node finishes, so near the end of
+// a broadcast the raw Have trails the truth by up to an interval of ingest
+// — more than the planner's end-of-stream slack.
+func (r *rateReport) haveBy(now time.Time) uint64 {
+	return r.Have + uint64(r.Ingest*now.Sub(r.at).Seconds())
 }
 
 type linkRate struct {
@@ -410,6 +421,7 @@ func (g *reorganizer) fold(rep *rateReport) {
 	if rep.From <= 0 || rep.From >= len(g.n.peers()) {
 		return
 	}
+	rep.at = g.n.clk.Now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.reports[rep.From] = rep
@@ -496,33 +508,36 @@ func (g *reorganizer) replanLocked() {
 	np := len(v.occupant)
 
 	// Freeze near EOF: node 0 knows the stream end, and the spokes carry
-	// each reporter's ingest progress. Once even the laggard is within
-	// the slack of the end, a migration cannot pay for itself and would
-	// only race the report/PASSED epilogue. (Sender-side child cursors
-	// are useless for this — transport buffering lets node 0 run
-	// arbitrarily far ahead of what any subtree has actually received.)
+	// each reporter's ingest progress (projected to now: see haveBy).
+	// Once even the laggard is within the slack of the end, a migration
+	// cannot pay for itself and would only race the report/PASSED
+	// epilogue. (Sender-side child cursors are useless for this —
+	// transport buffering lets node 0 run arbitrarily far ahead of what
+	// any subtree has actually received.)
+	now := n.clk.Now()
 	end, endKnown := n.st.End()
 	if endKnown && len(g.reports) > 0 {
 		minHave := uint64(math.MaxUint64)
 		for _, rep := range g.reports {
-			if rep.Have < minHave {
-				minHave = rep.Have
+			if h := rep.haveBy(now); h < minHave {
+				minHave = h
 			}
 		}
-		if end-minHave <= end/rerankEndSlack {
+		if minHave >= end || end-minHave <= end/rerankEndSlack {
 			return
 		}
 	}
-	// finished reports whether x is known to hold the entire stream: its
-	// lifecycle may already be over (REPORT sent, listener closed), so it
-	// must be left exactly where it is — demoting it buys nothing, and
-	// promoting it hands children to a peer that may be gone.
+	// finished reports whether x is known (or projected) to hold the
+	// entire stream: its lifecycle may already be over (REPORT sent,
+	// listener closed), so it must be left exactly where it is — demoting
+	// it buys nothing, and promoting it hands children to a peer that may
+	// be gone.
 	finished := func(x int) bool {
 		if g.spoked[x] {
 			return true
 		}
 		rep := g.reports[x]
-		return endKnown && rep != nil && rep.Have >= end
+		return endKnown && rep != nil && rep.haveBy(now) >= end
 	}
 
 	// ref is the fastest link rate observed anywhere in the session —
@@ -575,7 +590,6 @@ func (g *reorganizer) replanLocked() {
 		return // ranking is already (close enough to) correct
 	}
 
-	now := n.clk.Now()
 	if now.Sub(g.lastPlan) < n.opts.RerankMinInterval {
 		g.held++
 		return

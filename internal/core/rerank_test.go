@@ -136,3 +136,124 @@ func TestRerankDemotesSlowInterior(t *testing.T) {
 			victim, slot, occupants, version, migrations)
 	}
 }
+
+// plannerRoot builds node 0 of a 7-node re-ranking tree:2 over a 256 KiB
+// file-backed payload, prepared but not running, so a test can drive its
+// planner and serving paths directly.
+func plannerRoot(t *testing.T, opts Options) (*Node, *transport.Fabric, []Peer) {
+	t.Helper()
+	const nodes, size = 7, 256 << 10
+	fabric := transport.NewFabric(1 << 16)
+	peers := make([]Peer, nodes)
+	for i := range peers {
+		peers[i] = Peer{Name: fmt.Sprintf("n%d", i), Addr: fmt.Sprintf("n%d:7000", i)}
+	}
+	net0 := fabric.Host(peers[0].Name)
+	l, err := net0.Listen(peers[0].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	n, err := NewNode(NodeConfig{
+		Index:     0,
+		Plan:      Plan{Peers: peers, Opts: opts, Topology: TopologyTree(2)},
+		Network:   net0,
+		Listener:  l,
+		InputFile: bytes.NewReader(make([]byte, size)),
+		InputSize: size,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.prepare(); err != nil {
+		t.Fatal(err)
+	}
+	return n, fabric, peers
+}
+
+// TestRerankFreezeProjectsStaleReports pins the planner's end-of-stream
+// freeze against stale rate reports. Node 1 is slow, and its fresh report
+// would swap it with leaf 3 or 4. Spokes come one RerankInterval apart, so
+// when the other nodes last reported 200 KiB at 1 MB/s 80 ms ago they hold
+// the whole 256 KiB by now: the plan must freeze rather than hand node 1's
+// children to nodes that may already have finished and detached.
+func TestRerankFreezeProjectsStaleReports(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		age  time.Duration
+		want uint64
+	}{
+		{"fresh", 0, 1},
+		{"stale", 80 * time.Millisecond, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := NewFakeClock(time.Unix(1000, 0))
+			opts := rerankOpts()
+			opts.Clock = clk
+			n, _, _ := plannerRoot(t, opts)
+			const end = 256 << 10
+			for _, x := range []int{3, 4, 5, 6} {
+				n.reorg.fold(&rateReport{From: x, Version: 1, Ingest: 1e6, Have: 200 << 10})
+			}
+			n.reorg.fold(&rateReport{From: 2, Version: 1, Ingest: 1e6, Have: 200 << 10,
+				Links: []linkRate{{Peer: 5, Rate: 1e8}, {Peer: 6, Rate: 1e8}}})
+			clk.Advance(tc.age)
+			n.reorg.fold(&rateReport{From: 1, Version: 1, Ingest: 1e5, Have: end - 16<<10,
+				Links: []linkRate{{Peer: 3, Rate: 1e5}, {Peer: 4, Rate: 1e5}}})
+			if got, _ := n.reorg.counters(); got != tc.want {
+				_, occ, _, _ := n.ReorgState()
+				t.Fatalf("%d migrations, want %d (view %v)", got, tc.want, occ)
+			}
+		})
+	}
+}
+
+// TestExpectTypeSparesFinishedChild: a child whose ring spoke landed at
+// node 0 has finished its copy and closed its listener. Waiting on it for
+// a frame that never comes, with the ping unanswered, is a completed
+// lifecycle, not a death, and must not name it in the report.
+func TestExpectTypeSparesFinishedChild(t *testing.T) {
+	opts := rerankOpts()
+	opts.WriteStallTimeout = 20 * time.Millisecond
+	opts.PingTimeout = 20 * time.Millisecond
+	n, fabric, peers := plannerRoot(t, opts)
+
+	// silentChild connects node 0 to view child c, which accepts and then
+	// closes its listener without ever answering.
+	silentChild := func(c int) *wire {
+		l, err := fabric.Host(peers[c].Name).Listen(peers[c].Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := n.cfg.Network.Dial(peers[c].Addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		far, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { far.Close() })
+		l.Close()
+		w := n.newWire(conn)
+		t.Cleanup(func() { w.close() })
+		return w
+	}
+
+	n.reorg.noteSpoke(1)
+	out, err := n.expectType(context.Background(), silentChild(1), 1, peers[1].Addr, MsgGet, time.Second, false)
+	if out != outcomeSuperseded || err != nil {
+		t.Fatalf("finished child: outcome %d, err %v; want superseded", out, err)
+	}
+	if n.isFailedPeer(1) {
+		t.Fatal("finished child named a failure")
+	}
+
+	// Without the spoke the same silence is a death.
+	if out, _ := n.expectType(context.Background(), silentChild(2), 2, peers[2].Addr, MsgGet, time.Second, false); out != outcomeDead {
+		t.Fatalf("silent child without a spoke: outcome %d, want dead", out)
+	}
+	if !n.isFailedPeer(2) {
+		t.Fatal("silent child without a spoke was not named")
+	}
+}

@@ -115,9 +115,12 @@ type store interface {
 // recovering successor keeps its payload alive even if the slot is evicted
 // and the window moves on underneath it.
 type windowStore struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	waiters int // goroutines parked in cond.Wait (skip wakeups when zero)
+	mu   sync.Mutex
+	cond *sync.Cond
+	// waiters counts goroutines parked in cond.Wait: wakeups are skipped
+	// when it is zero, and Append reports it so ingest can hand its
+	// processor to a lone parked forwarder (see Node.ingest).
+	waiters int
 
 	chunkSize int
 	pool      *chunkPool
@@ -211,21 +214,25 @@ func (s *windowStore) evictLocked() {
 // not copied. It blocks while the ring is full of unconsumed data; on a
 // released store (pipeline tail) the oldest chunk is dropped instead, so
 // the tail's memory stays bounded by the window.
-func (s *windowStore) Append(c *chunk) error {
+//
+// It returns how many consumers were parked in ChunkAt when the chunk
+// landed, all of them woken by it. A store has one appender, so every
+// other parked goroutine is a ChunkAt consumer.
+func (s *windowStore) Append(c *chunk) (woken int, err error) {
 	if len(c.bytes()) == 0 {
 		c.release()
-		return nil
+		return 0, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.abort != nil {
 			c.release()
-			return s.abort
+			return 0, s.abort
 		}
 		if s.ended {
 			c.release()
-			return fmt.Errorf("kascade: append after end of stream")
+			return 0, fmt.Errorf("kascade: append after end of stream")
 		}
 		if s.count < len(s.ring) {
 			break
@@ -249,9 +256,10 @@ func (s *windowStore) Append(c *chunk) error {
 	s.ring[s.slot(s.count)] = c
 	s.count++
 	s.head += uint64(len(c.bytes()))
+	woken = s.waiters
 	s.wakeLocked()
 	s.maybeNotifyLocked()
-	return nil
+	return woken, nil
 }
 
 // AppendVirtual advances the head past size bytes that were relayed through
@@ -293,7 +301,8 @@ func (s *windowStore) AppendVirtual(size uint64) error {
 func (s *windowStore) AppendBytes(b []byte) error {
 	c := s.pool.get(len(b))
 	copy(c.bytes(), b)
-	return s.Append(c)
+	_, err := s.Append(c)
+	return err
 }
 
 // Finish marks the end of the stream at offset total.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -175,6 +176,40 @@ func TestWindowStoreEOFSemantics(t *testing.T) {
 	}
 	if end, ok := s.End(); !ok || end != 2 {
 		t.Fatalf("End() = %d %v", end, ok)
+	}
+}
+
+// TestWindowStoreAppendReportsParkedConsumers pins the count ingest's
+// cut-through handoff reads: Append reports how many consumers were
+// parked in ChunkAt for the chunk it stored.
+func TestWindowStoreAppendReportsParkedConsumers(t *testing.T) {
+	s := newWindowStore(4, 8, nil)
+	for parked := 0; parked <= 2; parked++ {
+		off := uint64(parked * 4)
+		var wg sync.WaitGroup
+		for i := 0; i < parked; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if c, err := s.ChunkAt(off); err == nil {
+					c.release()
+				}
+			}()
+		}
+		waitCond(t, time.Second, func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return s.waiters == parked
+		})
+		c := s.pool.get(4)
+		woken, err := s.Append(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if woken != parked {
+			t.Fatalf("Append with %d consumers parked in ChunkAt reported %d", parked, woken)
+		}
+		wg.Wait()
 	}
 }
 
