@@ -79,9 +79,6 @@ func benchEngine(b *testing.B, prefix string) {
 			b.SetBytes(spec.Size)
 			for i := 0; i < b.N; i++ {
 				if _, err := spec.Broadcast(); err != nil {
-					if spec.Loopback && i == 0 {
-						b.Skipf("loopback sockets unavailable: %v", err)
-					}
 					b.Fatal(err)
 				}
 			}
@@ -96,14 +93,6 @@ func BenchmarkEnginePipeline(b *testing.B) { benchEngine(b, "EnginePipeline") }
 // BenchmarkEngineChunkSize sweeps the protocol chunk size (the §III-C
 // design knob) on a fixed 5-node pipeline.
 func BenchmarkEngineChunkSize(b *testing.B) { benchEngine(b, "EngineChunkSize") }
-
-// BenchmarkEngineSplice is the kernel-relay ablation: the same loopback
-// pipeline with the splice() pass-through off and on.
-func BenchmarkEngineSplice(b *testing.B) { benchEngine(b, "EngineSplice") }
-
-// BenchmarkEngineUDP measures the batched datagram fan-out over real
-// loopback UDP (sendmmsg/recvmmsg on Linux).
-func BenchmarkEngineUDP(b *testing.B) { benchEngine(b, "EngineUDP") }
 
 // BenchmarkEngineTree measures the k-ary tree topology on the fabric:
 // the same 16 nodes as EnginePipeline/nodes=16, but 4 hops deep instead

@@ -139,28 +139,14 @@ func (a *agent) runSession(ctx context.Context, req control.StartRequest) contro
 	if err != nil {
 		return control.ResultReply{Err: err.Error()}
 	}
-	var packet transport.PacketConn
-	if req.Transport == core.TransportUDP {
-		// The plan advertises this agent's data port as its datagram
-		// endpoint too; bind the UDP side of it on every interface.
-		packet, err = bindPacket(req.Peers, req.Index)
-		if err != nil {
-			closeSink()
-			return control.ResultReply{Err: err.Error()}
-		}
-	}
 	node, err := core.NewNode(core.NodeConfig{
 		Index:   req.Index,
-		Plan:    core.Plan{Peers: req.Peers, Opts: req.Opts, Session: req.Session, Transport: req.Transport, Topology: req.Topology},
+		Plan:    core.Plan{Peers: req.Peers, Opts: req.Opts, Session: req.Session, Topology: req.Topology},
 		Network: transport.TCP{},
 		Engine:  a.engine,
 		Sink:    sink,
-		Packet:  packet, // closed by the node's Run
 	})
 	if err != nil {
-		if packet != nil {
-			packet.Close()
-		}
 		closeSink()
 		return control.ResultReply{Err: err.Error()}
 	}
@@ -225,7 +211,7 @@ func (a *agent) joinSession(ctx context.Context, req control.JoinRequest, grafte
 	}
 	node, err := core.NewNode(core.NodeConfig{
 		Index:   grant.Index,
-		Plan:    core.Plan{Peers: grant.Peers, Opts: info.Opts, Session: req.Session, Transport: info.Transport, Topology: info.Topology},
+		Plan:    core.Plan{Peers: grant.Peers, Opts: info.Opts, Session: req.Session, Topology: info.Topology},
 		Join:    grant,
 		Network: transport.TCP{},
 		Engine:  a.engine,
@@ -279,20 +265,6 @@ func (a *agent) serveV1(conn net.Conn, br *bufio.Reader) error {
 		Output:  req.Output,
 	})
 	return enc.Encode(ctrlResponse{Op: "result", Err: res.Err, Report: res.Report, Bytes: res.Bytes})
-}
-
-// bindPacket binds the UDP endpoint a udp-transport plan assigned to this
-// agent's pipeline slot: the port of its own PacketAddr, on every
-// interface (the advertised host may be an external address).
-func bindPacket(peers []core.Peer, index int) (transport.PacketConn, error) {
-	if index < 0 || index >= len(peers) {
-		return nil, fmt.Errorf("kascade: pipeline index %d out of range", index)
-	}
-	_, port, err := net.SplitHostPort(peers[index].PacketAddr)
-	if err != nil {
-		return nil, fmt.Errorf("kascade: packet address %q: %w", peers[index].PacketAddr, err)
-	}
-	return transport.TCP{}.ListenPacket(":" + port)
 }
 
 // runAgent serves broadcast sessions forever on the control address. All

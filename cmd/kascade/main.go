@@ -27,6 +27,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -67,13 +68,11 @@ type rootOptions struct {
 	input    string   // "-" = stdin
 	outPath  string
 	outCmd   string
-	chunkKiB  int
-	window    int
-	class     string
-	transport string // data plane: "tcp" (relay pipeline) or "udp" (fan-out)
-	topology  string // dissemination shape: "chain" or "tree:<k>"
-	splice    bool   // kernel pass-through on pure-relay nodes
-	rerank    bool   // Snow-style mid-broadcast tree re-ranking
+	chunkKiB int
+	window   int
+	class    string
+	topology string // dissemination shape: "chain" or "tree:<k>"
+	rerank   bool   // Snow-style mid-broadcast tree re-ranking
 	noSort   bool
 	listen   string
 	timeout  time.Duration
@@ -81,6 +80,26 @@ type rootOptions struct {
 }
 
 func rootMain(args []string) {
+	o, err := parseRootFlags(args)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "kascade:", err)
+		os.Exit(2)
+	}
+	report, err := runRoot(o)
+	if report != nil && !o.quiet {
+		fmt.Println(report)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "kascade:", err)
+		os.Exit(1)
+	}
+}
+
+// parseRootFlags turns the sender-side command line into rootOptions,
+// defaults included. A malformed flag or -h exits inside the flag package,
+// as for every kascade subcommand; the error reports a command line that
+// names no receivers.
+func parseRootFlags(args []string) (rootOptions, error) {
 	fs := flag.NewFlagSet("kascade", flag.ExitOnError)
 	var o rootOptions
 	nodeList := fs.String("N", "", "comma-separated agent addresses (host:port,...)")
@@ -91,9 +110,7 @@ func rootMain(args []string) {
 	fs.IntVar(&o.chunkKiB, "chunk", 1024, "chunk size in KiB")
 	fs.IntVar(&o.window, "window", 64, "replay window in chunks")
 	fs.StringVar(&o.class, "class", core.ClassBulk, "priority class on shared agents (bulk|interactive; drives admission order and scheduler weight)")
-	fs.StringVar(&o.transport, "transport", core.TransportTCP, "data plane: tcp (chunked relay pipeline) or udp (batched datagram fan-out; needs a file input)")
 	fs.StringVar(&o.topology, "topology", core.TopologyChain, "dissemination shape: chain (the paper's pipeline) or tree:<k> (k-ary tree; every relay feeds k children)")
-	fs.BoolVar(&o.splice, "splice", true, "kernel splice() pass-through on pure-relay nodes (Linux + TCP; falls back transparently elsewhere)")
 	fs.BoolVar(&o.rerank, "rerank", false, "self-reorganizing tree: re-rank the dissemination tree mid-broadcast by measured link rates (requires -topology tree:<k>)")
 	fs.BoolVar(&o.noSort, "no-sort", false, "keep -N order instead of sorting by host number")
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "sender data address to bind")
@@ -109,17 +126,9 @@ func rootMain(args []string) {
 		}
 	}
 	if len(o.nodes) == 0 && o.local <= 0 {
-		fmt.Fprintln(os.Stderr, "kascade: need -N <agents> or -local <n> (see -h)")
-		os.Exit(2)
+		return o, errors.New("need -N <agents> or -local <n> (see -h)")
 	}
-	report, err := runRoot(o)
-	if report != nil && !o.quiet {
-		fmt.Println(report)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kascade:", err)
-		os.Exit(1)
-	}
+	return o, nil
 }
 
 // protocolOptions converts CLI flags into engine options.
@@ -128,7 +137,6 @@ func (o rootOptions) protocolOptions() core.Options {
 		ChunkSize:         o.chunkKiB << 10,
 		WindowChunks:      o.window,
 		Class:             o.class,
-		Splice:            o.splice,
 		Rerank:            o.rerank,
 		WriteStallTimeout: o.timeout,
 	}

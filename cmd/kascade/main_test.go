@@ -57,85 +57,9 @@ func TestLocalBroadcastEndToEnd(t *testing.T) {
 	}
 }
 
-// TestLocalBroadcastUDPEndToEnd drives the full CLI path on the batched
-// datagram fan-out: the plan carries every agent's UDP endpoint (same port
-// as its data address), each agent binds it, and delivery stays
-// bit-perfect over real loopback UDP.
-func TestLocalBroadcastUDPEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	input := filepath.Join(dir, "payload.bin")
-	payload := make([]byte, 2<<20)
-	iolimit.NewPattern(int64(len(payload)), 6).Read(payload)
-	if err := os.WriteFile(input, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "out")
-
-	report, err := runRoot(rootOptions{
-		local:     3,
-		input:     input,
-		outPath:   out,
-		chunkKiB:  64,
-		window:    16,
-		transport: "udp",
-		listen:    "127.0.0.1:0",
-		quiet:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.TotalBytes != uint64(len(payload)) {
-		t.Fatalf("report bytes %d, want %d", report.TotalBytes, len(payload))
-	}
-	if len(report.Failures) != 0 {
-		t.Fatalf("unexpected failures: %v", report)
-	}
-	matches, err := filepath.Glob(out + "-*")
-	if err != nil || len(matches) != 3 {
-		t.Fatalf("output files: %v (%v)", matches, err)
-	}
-	want := sha256.Sum256(payload)
-	for _, m := range matches {
-		got, err := os.ReadFile(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sha256.Sum256(got) != want {
-			t.Errorf("%s corrupted (%d bytes)", m, len(got))
-		}
-	}
-}
-
-// TestUDPRejectsStreamedInput pins the guard: the datagram fan-out cannot
-// serve loss repair from an unseekable stream, so -transport udp with
-// stdin input must fail up front, not hang mid-broadcast.
-func TestUDPRejectsStreamedInput(t *testing.T) {
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	defer w.Close()
-	oldStdin := os.Stdin
-	os.Stdin = r
-	defer func() { os.Stdin = oldStdin }()
-
-	_, err = runRoot(rootOptions{
-		local:     2,
-		input:     "-",
-		chunkKiB:  64,
-		window:    16,
-		transport: "udp",
-		listen:    "127.0.0.1:0",
-		quiet:     true,
-	})
-	if err == nil {
-		t.Fatal("udp transport with streamed input accepted")
-	}
-}
-
 // TestLocalBroadcastFromStdinStream checks the unknown-length stream path
-// (the dd|gzip use case) through the CLI plumbing.
+// (the dd|gzip use case) through the CLI plumbing, with every option at the
+// command line's default: `kascade -local 3 -o out < stream`.
 func TestLocalBroadcastFromStdinStream(t *testing.T) {
 	dir := t.TempDir()
 	payload := make([]byte, 1<<20+123)
@@ -155,15 +79,11 @@ func TestLocalBroadcastFromStdinStream(t *testing.T) {
 	}()
 
 	out := filepath.Join(dir, "streamed")
-	report, err := runRoot(rootOptions{
-		local:    3,
-		input:    "-",
-		outPath:  out,
-		chunkKiB: 128,
-		window:   16,
-		listen:   "127.0.0.1:0",
-		quiet:    true,
-	})
+	o, err := parseRootFlags([]string{"-local", "3", "-o", out, "-q"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := runRoot(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,29 +111,8 @@ func runRoot(o rootOptions) (*core.Report, error) {
 	for _, h := range handles {
 		peers = append(peers, core.Peer{Name: h.name, Addr: h.dataAddr})
 	}
-	var senderPacket transport.PacketConn
-	if o.transport == core.TransportUDP {
-		// The sender binds its own datagram endpoint next to the data
-		// listener; every agent reuses its advertised data port on UDP, so
-		// no extra address negotiation rides the control plane.
-		host, _, err := net.SplitHostPort(rootListener.Addr())
-		if err != nil {
-			return nil, fmt.Errorf("kascade: sender address %q: %w", rootListener.Addr(), err)
-		}
-		senderPacket, err = transport.TCP{}.ListenPacket(net.JoinHostPort(host, "0"))
-		if err != nil {
-			return nil, fmt.Errorf("binding sender datagram endpoint: %w", err)
-		}
-		peers[0].PacketAddr = senderPacket.LocalAddr()
-		for i := 1; i < len(peers); i++ {
-			peers[i].PacketAddr = peers[i].Addr
-		}
-	}
-	plan := core.Plan{Peers: peers, Opts: opts, Session: session, Transport: o.transport, Topology: o.topology}
+	plan := core.Plan{Peers: peers, Opts: opts, Session: session, Topology: o.topology}
 	if err := plan.Validate(); err != nil {
-		if senderPacket != nil {
-			senderPacket.Close()
-		}
 		return nil, err
 	}
 
@@ -141,7 +120,7 @@ func runRoot(o rootOptions) (*core.Report, error) {
 	// channels whenever the broadcast ends.
 	sinks := sinkSpec{Path: o.outPath, Command: o.outCmd}
 	for i, h := range handles {
-		req := control.StartRequest{Session: session, Index: i + 1, Peers: peers, Opts: plan.Opts, Output: sinks, Transport: plan.Transport, Topology: plan.Topology}
+		req := control.StartRequest{Session: session, Index: i + 1, Peers: peers, Opts: plan.Opts, Output: sinks, Topology: plan.Topology}
 		if o.local > 0 && o.outPath != "" {
 			// The demo writes per-node files side by side.
 			req.Output = sinkSpec{Path: fmt.Sprintf("%s-%s", o.outPath, h.name)}
@@ -159,7 +138,6 @@ func runRoot(o rootOptions) (*core.Report, error) {
 		Plan:     plan,
 		Network:  transport.TCP{},
 		Listener: rootListener,
-		Packet:   senderPacket, // closed by the node's Run
 	}
 	if o.input == "-" {
 		nc.Input = os.Stdin

@@ -54,21 +54,12 @@ type Spec struct {
 	Nodes int
 	Chunk int
 	Size  int64
-	// Transport selects the data plane ("" = chunked TCP pipeline,
-	// core.TransportUDP = batched datagram fan-out).
-	Transport string
 	// Topology selects the dissemination shape ("" = chain,
 	// core.TopologyTree(k) = k-ary tree, core.TopologyScatterAllgather =
 	// the van de Geijn composite, dispatched to internal/mpibcast).
 	Topology string
-	// Splice enables the kernel pass-through fast path on relay nodes; it
-	// only engages over real sockets, so splice specs set Loopback too.
-	Splice bool
-	// Loopback runs over real 127.0.0.1 sockets instead of the in-memory
-	// fabric (required for the splice and sendmmsg kernel paths to bite).
-	Loopback bool
 	// LinkRate rate-shapes every fabric link to this many bytes per
-	// second (0 = unshaped; fabric runs only).
+	// second (0 = unshaped).
 	LinkRate float64
 	// SlowNode, when > 0 alongside LinkRate, pins that node's outbound
 	// links to LinkRate/10: the heterogeneous-bandwidth scenario the
@@ -78,10 +69,10 @@ type Spec struct {
 	Rerank bool
 	// JoinAt, when > 0, grafts one late joiner onto the live broadcast
 	// once any receiver has ingested this fraction of the payload
-	// (dynamic membership; requires Rerank + a tree Topology, fabric runs
-	// only). The measured session then also carries the join negotiation,
-	// the joiner's range catch-up from the sender, and the epilogue
-	// waiting on its sink parity.
+	// (dynamic membership; requires Rerank + a tree Topology). The
+	// measured session then also carries the join negotiation, the
+	// joiner's range catch-up from the sender, and the epilogue waiting on
+	// its sink parity.
 	JoinAt float64
 }
 
@@ -89,8 +80,8 @@ type Spec struct {
 const EngineBenchSize = 16 << 20
 
 // EngineBenchmarks returns the benchmark matrix: pipeline-length sweep at
-// a fixed chunk, a chunk-size sweep at a fixed depth, the splice() relay
-// ablation over real loopback sockets, and the batched UDP fan-out.
+// a fixed chunk, a chunk-size sweep at a fixed depth, and the tree,
+// re-ranking and late-join shapes.
 func EngineBenchmarks() []Spec {
 	var specs []Spec
 	for _, nodes := range []int{2, 4, 8, 16} {
@@ -105,30 +96,6 @@ func EngineBenchmarks() []Spec {
 			Nodes: 5, Chunk: chunk, Size: EngineBenchSize,
 		})
 	}
-	// Kernel-relay ablation: the same loopback pipeline with the splice()
-	// pass-through off and on — the on/off delta is the copy cost the
-	// relay's user space no longer pays. The chain is deep (6 relays) and
-	// the chunks large so relay copies, not endpoint work, bound the
-	// pipeline: that is the regime the fast path exists for, and on a
-	// CPU-bound builder the delta is large (+69% on the 1-core CI class).
-	for _, on := range []bool{false, true} {
-		state := "off"
-		if on {
-			state = "on"
-		}
-		specs = append(specs, Spec{
-			Name:  fmt.Sprintf("EngineSplice/splice=%s", state),
-			Nodes: 8, Chunk: 1 << 20, Size: EngineBenchSize,
-			Splice: on, Loopback: true,
-		})
-	}
-	// Batched datagram fan-out over real loopback UDP (sendmmsg/recvmmsg
-	// on Linux): the sender feeds every receiver directly.
-	specs = append(specs, Spec{
-		Name:  "EngineUDP/nodes=4",
-		Nodes: 4, Chunk: 64 << 10, Size: EngineBenchSize,
-		Transport: core.TransportUDP, Loopback: true,
-	})
 	// Tree dissemination: the 16-node binary tree halves no link's load
 	// (every relay still uploads twice) but cuts the hop depth from 15 to
 	// 4, trading per-relay fan-out for pipeline latency.
@@ -170,12 +137,10 @@ func EngineBenchmarks() []Spec {
 	return specs
 }
 
-// Broadcast runs one benchmark iteration of the spec: fresh listeners,
-// nodes and pipes, honouring the spec's transport, splice and loopback
-// dimensions, with every sink discarded.
+// Broadcast runs one benchmark iteration of the spec on a fresh fabric:
+// new listeners, nodes and pipes, with every sink discarded.
 func (spec Spec) Broadcast() (*core.SessionResult, error) {
 	opts := EngineOptions(spec.Chunk)
-	opts.Splice = spec.Splice
 	if spec.Rerank {
 		opts.Rerank = true
 		// Bench-speed cadence: at these link rates the 16 MiB transfer
@@ -184,54 +149,36 @@ func (spec Spec) Broadcast() (*core.SessionResult, error) {
 		opts.RerankInterval = 150 * time.Millisecond
 		opts.RerankMinInterval = 300 * time.Millisecond
 	}
-	if spec.Transport == core.TransportUDP {
-		// The stall budget doubles as the datagram plane's loss-repair
-		// trigger; keep it tight so a dropped burst costs a prompt PGET,
-		// not three idle seconds.
-		opts.WriteStallTimeout = time.Second
-	}
 	payload := Payload(spec.Size, 99)
 	if spec.Topology == core.TopologyScatterAllgather {
 		return spec.broadcastScatterAllgather(payload)
 	}
 	peers := make([]core.Peer, spec.Nodes)
-	cfg := core.SessionConfig{
-		Opts:      opts,
-		Transport: spec.Transport,
-		Topology:  spec.Topology,
-		SinkFor:   func(int) io.Writer { return io.Discard },
-		InputFile: NewReaderAt(payload),
-		InputSize: spec.Size,
+	fabric := transport.NewFabric(1 << 20)
+	for i := range peers {
+		peers[i] = core.Peer{Name: fmt.Sprintf("n%d", i+1), Addr: fmt.Sprintf("n%d:7000", i+1)}
 	}
-	var fabric *transport.Fabric
-	if spec.Loopback {
-		for i := range peers {
-			peers[i] = core.Peer{Name: fmt.Sprintf("n%d", i+1), Addr: "127.0.0.1:0"}
-		}
-		cfg.NetworkFor = func(int) transport.Network { return transport.TCP{} }
-	} else {
-		fabric = transport.NewFabric(1 << 20)
-		for i := range peers {
-			peers[i] = core.Peer{Name: fmt.Sprintf("n%d", i+1), Addr: fmt.Sprintf("n%d:7000", i+1)}
-		}
-		if spec.LinkRate > 0 {
-			fabric.SetDefaultProfile(transport.Profile{Rate: spec.LinkRate})
-			if spec.SlowNode > 0 && spec.SlowNode < len(peers) {
-				slow := transport.Profile{Rate: spec.LinkRate / 10}
-				for i := range peers {
-					if i != spec.SlowNode {
-						fabric.SetLinkProfile(peers[spec.SlowNode].Name, peers[i].Name, slow)
-					}
+	if spec.LinkRate > 0 {
+		fabric.SetDefaultProfile(transport.Profile{Rate: spec.LinkRate})
+		if spec.SlowNode > 0 && spec.SlowNode < len(peers) {
+			slow := transport.Profile{Rate: spec.LinkRate / 10}
+			for i := range peers {
+				if i != spec.SlowNode {
+					fabric.SetLinkProfile(peers[spec.SlowNode].Name, peers[i].Name, slow)
 				}
 			}
 		}
-		cfg.NetworkFor = func(i int) transport.Network { return fabric.Host(peers[i].Name) }
 	}
-	cfg.Peers = peers
+	cfg := core.SessionConfig{
+		Peers:      peers,
+		Opts:       opts,
+		Topology:   spec.Topology,
+		NetworkFor: func(i int) transport.Network { return fabric.Host(peers[i].Name) },
+		SinkFor:    func(int) io.Writer { return io.Discard },
+		InputFile:  NewReaderAt(payload),
+		InputSize:  spec.Size,
+	}
 	if spec.JoinAt > 0 {
-		if fabric == nil {
-			return nil, fmt.Errorf("benchkit: JoinAt requires a fabric run")
-		}
 		return spec.broadcastLateJoin(cfg, fabric)
 	}
 	res, err := core.RunSession(context.Background(), cfg)
@@ -302,22 +249,17 @@ func (spec Spec) broadcastLateJoin(cfg core.SessionConfig, fabric *transport.Fab
 func (spec Spec) broadcastScatterAllgather(payload []byte) (*core.SessionResult, error) {
 	names := make([]string, spec.Nodes)
 	addrs := make([]string, spec.Nodes)
-	cfg := mpibcast.ScatterAllgatherConfig{Payload: payload}
-	if spec.Loopback {
-		for i := range names {
-			names[i] = fmt.Sprintf("n%d", i+1)
-			addrs[i] = "127.0.0.1:0"
-		}
-		cfg.NetworkFor = func(int) transport.Network { return transport.TCP{} }
-	} else {
-		fabric := transport.NewFabric(1 << 20)
-		for i := range names {
-			names[i] = fmt.Sprintf("n%d", i+1)
-			addrs[i] = names[i] + ":7000"
-		}
-		cfg.NetworkFor = func(i int) transport.Network { return fabric.Host(names[i]) }
+	fabric := transport.NewFabric(1 << 20)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d", i+1)
+		addrs[i] = names[i] + ":7000"
 	}
-	cfg.Names, cfg.Addrs = names, addrs
+	cfg := mpibcast.ScatterAllgatherConfig{
+		Payload:    payload,
+		Names:      names,
+		Addrs:      addrs,
+		NetworkFor: func(i int) transport.Network { return fabric.Host(names[i]) },
+	}
 	start := time.Now()
 	total, err := mpibcast.BroadcastScatterAllgather(context.Background(), cfg)
 	if err != nil {
@@ -329,8 +271,8 @@ func (spec Spec) broadcastScatterAllgather(payload []byte) (*core.SessionResult,
 	}, nil
 }
 
-// EngineOptions are the protocol options every engine benchmark runs with
-// (fabric and TCP loopback alike), sized for fast in-memory iteration.
+// EngineOptions are the protocol options every engine benchmark runs with,
+// sized for fast in-memory iteration.
 // Failure detection is deliberately slackened, exactly as in MuxOptions:
 // a deep pipeline on a small builder can starve a PONG past the 500 ms
 // production default and a perfectly healthy node gets declared dead,

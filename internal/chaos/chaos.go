@@ -54,13 +54,6 @@ const (
 	// shared engines the host keeps serving its other sessions, which is
 	// what the cross-session scenarios (Sessions > 1) exercise.
 	SinkCrash FaultKind = "sink-crash"
-	// PacketLoss drops a fraction (Rate ∈ [0,1]) of the datagrams flowing
-	// Peer→victim, healed after Delay (0 = the whole run). It only bites on
-	// Transport "udp" scenarios: the victim must repair every hole over the
-	// TCP PGET side channel, so a lossy link is an invariant-preserving
-	// fault, not a death — Check demands the victim completes bit-perfect
-	// and is never named in the ring report.
-	PacketLoss FaultKind = "packet-loss"
 )
 
 // Mark is a fault trigger: a byte-offset watch on one node's ingested
@@ -145,14 +138,12 @@ func (f Fault) String() string {
 	switch f.Kind {
 	case Partition, AsymPartition, RateCollapse, WriteStall:
 		fmt.Fprintf(&b, " (link from node %d)", f.peerIndex())
-	case PacketLoss:
-		fmt.Fprintf(&b, " (datagrams from node %d, %.0f%% drop)", f.peerIndex(), f.Rate*100)
 	}
 	fmt.Fprintf(&b, " %s", f.When)
 	if f.Delay > 0 {
 		fmt.Fprintf(&b, ", healed after %v", f.Delay)
 	}
-	if f.Rate > 0 && f.Kind != PacketLoss {
+	if f.Rate > 0 {
 		fmt.Fprintf(&b, ", rate %.0f B/s", f.Rate)
 	}
 	return b.String()
@@ -210,10 +201,6 @@ type Scenario struct {
 	LinkRate float64 `json:"link_rate,omitempty"`
 	// MinThroughput enables the §V exclusion extension in the engine.
 	MinThroughput float64 `json:"min_throughput,omitempty"`
-	// Transport selects the data plane (core.SessionConfig.Transport):
-	// "" / "tcp" for the chunked relay pipeline, "udp" for the batched
-	// datagram fan-out (required by PacketLoss faults to bite).
-	Transport string `json:"transport,omitempty"`
 	// Topology selects the dissemination shape (core.Plan.Topology): "" /
 	// "chain" for the linear pipeline, "tree:<k>" for the k-ary BFS tree.
 	// Tree scenarios exercise the parent/children generalisation of the
@@ -269,15 +256,13 @@ func (sc Scenario) Repro(seed int64) string {
 }
 
 // victims returns the distinct fault targets, in schedule order.
-// PacketLoss targets are excluded: a lossy datagram link is repaired, not
-// fatal, so its victim must NOT be an acceptable name in the ring report.
-// Reorg sentinels are excluded too — their concrete index is only known
+// Reorg sentinels are excluded — their concrete index is only known
 // at injection time, so Check folds them in from the recorded injections.
 func (sc Scenario) victims() []int {
 	seen := map[int]bool{}
 	var out []int
 	for _, f := range sc.Faults {
-		if f.Kind == PacketLoss || f.Victim < 0 {
+		if f.Victim < 0 {
 			continue
 		}
 		if !seen[f.Victim] {

@@ -281,9 +281,6 @@ func RunWithClock(ctx context.Context, sc Scenario, clk core.Clock) *Result {
 	if sc.LinkRate > 0 {
 		r.fabric.SetDefaultProfile(transport.Profile{Rate: sc.LinkRate})
 	}
-	// Pin the packet-drop coin flips so a udp-loss scenario replays the
-	// same drop pattern from its seed (handcrafted clusters: seed 0).
-	r.fabric.SeedPacketLoss(sc.Seed + 0x9e3779b9)
 
 	peers := make([]core.Peer, sc.Nodes)
 	r.sinks = make([]*prefixSink, sc.Nodes)
@@ -307,7 +304,6 @@ func RunWithClock(ctx context.Context, sc Scenario, clk core.Clock) *Result {
 	cfg := core.SessionConfig{
 		Peers:      peers,
 		Opts:       opts,
-		Transport:  sc.Transport,
 		Topology:   sc.Topology,
 		NetworkFor: func(i int) transport.Network { return r.fabric.Host(peers[i].Name) },
 		SinkFor:    func(i int) io.Writer { return r.sinks[i] },
@@ -585,11 +581,6 @@ func (r *runner) inject(f Fault) {
 		r.sinks[f.Victim].rate.Store(uint64(f.Rate))
 		if f.Delay > 0 {
 			r.afterFunc(f.Delay, func() { r.sinks[f.Victim].rate.Store(0) })
-		}
-	case PacketLoss:
-		r.fabric.SetPacketLoss(peer, victim, f.Rate)
-		if f.Delay > 0 {
-			r.afterFunc(f.Delay, func() { r.fabric.SetPacketLoss(peer, victim, 0) })
 		}
 	}
 	r.mu.Lock()

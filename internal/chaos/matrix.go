@@ -131,22 +131,6 @@ func Matrix(seed int64, full bool) []Scenario {
 		})
 	}
 
-	// Datagram fan-out under loss: the sender→victim packet plane drops 1%
-	// or 5% of datagrams for the whole run; the TCP PGET side channel must
-	// repair every hole, so delivery stays bit-perfect and the ring report
-	// stays empty (Check's PacketLoss invariant).
-	for _, n := range []int{3, 7} {
-		shape := shapeFor(n)
-		for _, rate := range []float64{0.01, 0.05} {
-			rate := rate
-			v := n / 2
-			add(fmt.Sprintf("udp-loss/n=%d/p=%d", n, int(rate*100)), shape, func(sc *Scenario) {
-				sc.Transport = core.TransportUDP
-				sc.Faults = []Fault{{Kind: PacketLoss, Victim: v, Peer: 0, Rate: rate}}
-			})
-		}
-	}
-
 	// Tree fan-out recovery: a tree:2 plan runs the same §III-D machinery
 	// on every parent→child link. Each cluster kills a structurally
 	// different node — a root child (its whole subtree re-grafts onto the

@@ -218,11 +218,6 @@ type StartRequest struct {
 	Peers   []core.Peer    `json:"peers"`
 	Opts    core.Options   `json:"opts"`
 	Output  SinkSpec       `json:"output,omitempty"`
-	// Transport selects the data plane (core.Plan.Transport): "" / "tcp"
-	// for the chunked relay pipeline, "udp" for the batched datagram
-	// fan-out. With "udp" every peer carries a PacketAddr and the agent
-	// binds a datagram endpoint on its own peer's port.
-	Transport string `json:"transport,omitempty"`
 	// Topology selects the dissemination shape (core.Plan.Topology): "" /
 	// "chain" for the linear pipeline, "tree:<k>" for the k-ary BFS tree.
 	// Every agent must run the same shape, so it travels with the plan.

@@ -46,7 +46,7 @@ func TestChunkReleasePanicsOnDoubleRelease(t *testing.T) {
 
 // TestRelayPathAllocs is the allocation regression guard for the path a
 // relay runs on a Fabric: a DATA frame arrives on a deadline-armed pipe,
-// wire.readDataInto lands it in a pooled buffer, ingest appends it to the
+// wire.readData lands it in a pooled buffer, ingest appends it to the
 // ring (ownership move, no copy), nextBatch reads it back and
 // writeDataBatch emits it through the stallWriter as one vectored write
 // into the next pipe. Deadlines are set where serveUpstream and
@@ -113,11 +113,7 @@ func TestRelayPathAllocs(t *testing.T) {
 			t.Fatalf("frame type %v, %v", typ, err)
 		}
 		in.setReadDeadlineIn(opts.UpstreamIdleTimeout)
-		size, err := in.readDataSize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := in.readDataInto(pool, size)
+		c, err := in.readData(pool)
 		if err != nil {
 			t.Fatal(err)
 		}

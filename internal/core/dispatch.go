@@ -156,19 +156,6 @@ func (n *Node) receiveRingReport(w *wire, from int) {
 		// reports have ceased and would otherwise stay mid-stream stale).
 		n.reorg.noteSpoke(from)
 	}
-	if n.cfg.Plan.Transport == TransportUDP {
-		// The datagram fan-out has no pipeline: every receiver closes its
-		// own ring connection. Acknowledge it immediately and publish the
-		// final report once all receivers reported or were recorded dead.
-		n.setUpReport(rep)
-		n.mu.Lock()
-		n.udpReports++
-		n.mu.Unlock()
-		n.maybeCloseUDPRing()
-		w.setWriteDeadlineIn(n.opts.GetTimeout)
-		_ = w.writePassed()
-		return
-	}
 	if n.treeK > 1 {
 		// Tree fan-out: several leaves (plus interior nodes with late
 		// detections) each close their own ring spoke. Acknowledge each

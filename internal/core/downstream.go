@@ -165,11 +165,6 @@ func (n *Node) serveSuccessor(ctx context.Context, succ int, cur *childCursor, q
 	// escapes, and inside the loop that is one allocation per batch.
 	var fe *ForgetError
 
-	// noSplice remembers a permanent splice decline for this connection
-	// (incapable transport, broken splice, stream over), so the steady
-	// pooled path pays no per-batch rendezvous.
-	noSplice := n.splice == nil
-
 streamLoop:
 	for {
 		if cerr := ctx.Err(); cerr != nil {
@@ -184,29 +179,6 @@ streamLoop:
 				}
 				sentView = v.version
 			}
-		}
-		if !noSplice && off >= n.st.Head() {
-			// Fully caught up: offer the upstream receiver a kernel
-			// pass-through span instead of parking in ChunkAt. The offer
-			// resolves on the next inbound frame (or terminal condition).
-			moved, res, serr := n.offerSplice(ctx, off, conn)
-			if moved > 0 {
-				off += moved
-				cur.advance(off)
-			}
-			if serr != nil {
-				return n.classifyConnErr(ctx, serr, succ, peer.Addr, quiet)
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return outcomeTerminal, cerr
-			}
-			if res.noRetry {
-				noSplice = true
-			}
-			if res.engaged {
-				continue // re-offer while still caught up
-			}
-			// Transient decline: drain what the pooled path has.
 		}
 		batch, batchBytes, cerr := n.nextBatch(off, scratch[:0])
 		switch {

@@ -57,14 +57,10 @@ type Engine struct {
 	parkIPOver    uint64 // refused at the per-IP park cap
 	classAdmit    map[string]*classCounter
 
-	// Transport data-plane counters, bumped from per-connection hot paths
-	// by the engine's attached nodes — atomics, not e.mu, so a relay moving
-	// gigabytes never contends with the control plane.
-	splicedBytes   atomic.Uint64
-	splicedChunks  atomic.Uint64
-	udpBatchesSent atomic.Uint64
-	udpBatchesRecv atomic.Uint64
-	repairFetches  atomic.Uint64
+	// repairFetches is bumped from per-connection paths by the engine's
+	// attached nodes — an atomic, not e.mu, so a relay moving gigabytes
+	// never contends with the control plane.
+	repairFetches atomic.Uint64
 }
 
 // classCounter accumulates per-class admission outcomes.
@@ -356,17 +352,13 @@ type EngineStats struct {
 	ParkSessionOverflow uint64 `json:"park_session_overflow"`
 	ParkIPOverflow      uint64 `json:"park_ip_overflow"`
 
-	// SplicedBytes / SplicedChunks count payload moved through the kernel
-	// pass-through (splice) by this engine's relay sessions.
-	SplicedBytes  uint64 `json:"spliced_bytes"`
-	SplicedChunks uint64 `json:"spliced_chunks"`
-	// UDPBatchesSent / UDPBatchesRecv count datagram batches crossing the
-	// kernel boundary on the UDP fan-out transport (one sendmmsg/recvmmsg
-	// crossing each, or one datagram on the portable fallback).
-	UDPBatchesSent uint64 `json:"udp_batches_sent"`
-	UDPBatchesRecv uint64 `json:"udp_batches_recv"`
+	// SplicedBytes is always 0: the kernel pass-through relay that counted
+	// here was removed. The field is kept only because the benchmark under
+	// bench/ still reads it; it retires together with that benchmark's
+	// core.spliced_bytes_share metric.
+	SplicedBytes uint64 `json:"spliced_bytes"`
 	// RepairFetches counts PGET range fetches against node 0: §III-D2 gap
-	// fetches on the TCP pipeline plus loss repair on the UDP transport.
+	// fetches and late-joiner catch-up.
 	RepairFetches uint64 `json:"repair_fetches"`
 
 	// Classes breaks admissions and scheduling down by priority class.
@@ -426,10 +418,6 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := EngineStats{
-		SplicedBytes:        e.splicedBytes.Load(),
-		SplicedChunks:       e.splicedChunks.Load(),
-		UDPBatchesSent:      e.udpBatchesSent.Load(),
-		UDPBatchesRecv:      e.udpBatchesRecv.Load(),
 		RepairFetches:       e.repairFetches.Load(),
 		Sessions:            len(e.sessions),
 		PoolBudget:          e.opts.MemBudget,

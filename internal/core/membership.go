@@ -108,7 +108,6 @@ type JoinGrant struct {
 // it commits: enough to size its admission reservation and build its plan.
 type JoinSessionInfo struct {
 	Opts      Options `json:"opts"`
-	Transport string  `json:"transport"`
 	Topology  string  `json:"topology"`
 	BasePeers int     `json:"base_peers"`
 }
@@ -301,7 +300,6 @@ func (n *Node) serveJoin(w *wire) {
 	}
 	info := &JoinSessionInfo{
 		Opts:      n.opts,
-		Transport: n.cfg.Plan.Transport,
 		Topology:  n.cfg.Plan.Topology,
 		BasePeers: n.basePeers,
 	}

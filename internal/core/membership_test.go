@@ -603,8 +603,8 @@ func TestPGetSingleChunkByteIdentity(t *testing.T) {
 // --- lifecycle validation ---------------------------------------------------
 
 // TestSessionConfigValidate exercises the consolidated front-door
-// validation: structural wiring plus the transport × topology × options
-// shape, without address checks.
+// validation: structural wiring plus the topology × options shape, without
+// address checks.
 func TestSessionConfigValidate(t *testing.T) {
 	fab := transport.NewFabric(1 << 20)
 	net := func(int) transport.Network { return fab.Host("h") }
@@ -622,10 +622,8 @@ func TestSessionConfigValidate(t *testing.T) {
 		{"no peers", func(c *SessionConfig) { c.Peers = nil }},
 		{"no network", func(c *SessionConfig) { c.NetworkFor = nil }},
 		{"engine without session", func(c *SessionConfig) { c.EngineFor = func(int) *Engine { return nil } }},
-		{"bad transport", func(c *SessionConfig) { c.Transport = "smoke-signals" }},
 		{"bad topology", func(c *SessionConfig) { c.Topology = "pentagram" }},
 		{"rerank on a chain", func(c *SessionConfig) { c.Opts.Rerank = true }},
-		{"udp tree", func(c *SessionConfig) { c.Transport = TransportUDP; c.Topology = TopologyTree(2) }},
 		{"tiny window", func(c *SessionConfig) { c.Opts.ChunkSize = 1 << 10; c.Opts.WindowChunks = 1 }},
 	}
 	for _, tc := range cases {

@@ -68,10 +68,6 @@ type NodeConfig struct {
 	// connections to this node by Plan.Session and accounts its chunk
 	// pool against the global memory budget.
 	Engine *Engine
-	// Packet is the node's bound datagram endpoint, required (and only
-	// used) when Plan.Transport is TransportUDP. The node owns it: Run
-	// closes it on exit.
-	Packet transport.PacketConn
 	// Sink receives the broadcast payload locally; nil discards it.
 	// Only meaningful for receivers (Index > 0).
 	Sink io.Writer
@@ -110,12 +106,6 @@ type Node struct {
 	ictx   context.Context // internal lifecycle, detached from caller ctx
 	cancel context.CancelFunc
 
-	// splice is the kernel pass-through rendezvous gate (splice.go);
-	// nil on nodes that can never splice (sender, local sink, §V
-	// measurement, or Options.Splice off).
-	splice       *spliceGate
-	spliceBroken atomic.Bool // a mid-frame splice error poisons the fast path
-
 	upConns chan *upstreamConn
 
 	// Self-reorganization state (rerank.go); active only when
@@ -142,7 +132,6 @@ type Node struct {
 	abandoned     bool
 	abandonReason string
 	tail          bool
-	udpReports    int // udp transport, sender only: ring reports received
 
 	detachOnce sync.Once
 	reportOnce sync.Once
@@ -211,25 +200,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		if cfg.InputFile == nil && cfg.Input == nil {
 			return nil, fmt.Errorf("kascade: sender has no input")
 		}
-		if cfg.Plan.Opts.Splice && cfg.InputFile == nil {
-			// A spliced relay retains nothing, so FORGET recovery must
-			// resolve against the sender's random-access store (§III-D2);
-			// a streamed source would turn every recovery into an abandon.
-			return nil, fmt.Errorf("kascade: splice requires a file-backed source at node 0")
-		}
 	} else if cfg.Input != nil || cfg.InputFile != nil {
 		return nil, fmt.Errorf("kascade: only the sender (index 0) takes input")
-	}
-	if cfg.Plan.Transport == TransportUDP {
-		if cfg.Packet == nil {
-			return nil, fmt.Errorf("kascade: node %d needs a packet connection for the udp transport", cfg.Index)
-		}
-		if cfg.Index == 0 && cfg.InputFile == nil {
-			// Loss repair is a PGET against node 0's random-access store;
-			// a streamed source would turn every lost datagram into an
-			// unrecoverable abandon.
-			return nil, fmt.Errorf("kascade: udp transport requires a file-backed source at node 0")
-		}
 	}
 	treeK, err := TreeArity(cfg.Plan.Topology)
 	if err != nil {
@@ -264,9 +236,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		reportC:   make(chan struct{}),
 		passedC:   make(chan struct{}),
 		ringC:     make(chan struct{}),
-	}
-	if spliceEligible(&cfg, &opts) {
-		n.splice = &spliceGate{}
 	}
 	if opts.Rerank && treeK > 1 {
 		n.rerank = true
@@ -355,25 +324,6 @@ func (n *Node) BytesReceived() uint64 { return n.bytesIn.Load() }
 // Transport counter hooks: engine-attached nodes feed the per-process
 // EngineStats; standalone nodes drop the samples (there is no aggregate to
 // report them in).
-
-func (n *Node) countSpliced(bytes uint64) {
-	if e := n.cfg.Engine; e != nil {
-		e.splicedBytes.Add(bytes)
-		e.splicedChunks.Add(1)
-	}
-}
-
-func (n *Node) countUDPBatchSent() {
-	if e := n.cfg.Engine; e != nil {
-		e.udpBatchesSent.Add(1)
-	}
-}
-
-func (n *Node) countUDPBatchRecv() {
-	if e := n.cfg.Engine; e != nil {
-		e.udpBatchesRecv.Add(1)
-	}
-}
 
 func (n *Node) countRepairFetch() {
 	if e := n.cfg.Engine; e != nil {
@@ -485,9 +435,6 @@ func (n *Node) run(ctx context.Context) (*Report, error) {
 	n.ictx, n.cancel = ictx, cancel
 	defer cancel()
 
-	if n.cfg.Packet != nil {
-		defer n.cfg.Packet.Close()
-	}
 	if err := n.prepare(); err != nil {
 		return nil, err
 	}
@@ -517,10 +464,6 @@ func (n *Node) run(ctx context.Context) (*Report, error) {
 
 	if n.cfg.Listener != nil {
 		go n.acceptLoop()
-	}
-
-	if n.cfg.Plan.Transport == TransportUDP {
-		return n.runUDP(ictx)
 	}
 
 	if n.rerank && n.cfg.Index > 0 {
@@ -588,51 +531,6 @@ func (n *Node) run(ctx context.Context) (*Report, error) {
 		return rep, nil
 	case <-n.clk.After(n.opts.ReportTimeout):
 		return n.snapshotReport(), fmt.Errorf("kascade: final report never arrived")
-	}
-}
-
-// runUDP is the datagram-plane lifecycle (udp.go): the sender fans out and
-// then waits for the ring to close over the stream transport; receivers
-// reassemble, repair, and deliver their own ring report.
-func (n *Node) runUDP(ictx context.Context) (*Report, error) {
-	if n.cfg.Index > 0 {
-		if err := n.udpReceiver(ictx); err != nil {
-			n.shutdown(err)
-			return n.snapshotReport(), err
-		}
-		return n.snapshotReport(), nil
-	}
-	if err := n.udpSender(ictx); err != nil {
-		n.shutdown(err)
-		return n.snapshotReport(), err
-	}
-	// Every receiver either reported already (dispatch counts them) or was
-	// recorded dead by the send loop: re-check so an all-dead (or
-	// zero-receiver) fan-out still closes the ring from the sender's view.
-	n.maybeCloseUDPRing()
-	select {
-	case <-n.ringC:
-		n.mu.Lock()
-		rep := n.ringReport.Clone()
-		n.mu.Unlock()
-		return rep, nil
-	case <-n.clk.After(n.opts.ReportTimeout):
-		return n.snapshotReport(), fmt.Errorf("kascade: final report never arrived")
-	}
-}
-
-// maybeCloseUDPRing publishes the sender's final report once every receiver
-// is accounted for — a ring report received over the stream transport, or a
-// recorded death. Idempotent; called from the report accept path and after
-// the fan-out completes.
-func (n *Node) maybeCloseUDPRing() {
-	n.mu.Lock()
-	accounted := n.udpReports + len(n.detected)
-	n.mu.Unlock()
-	if accounted >= len(n.peers())-1 {
-		rep, _ := n.mergedReport()
-		n.setRingReport(rep)
-		n.markPassed()
 	}
 }
 

@@ -60,23 +60,6 @@ type Options struct {
 	// predecessor connection before giving the transfer up.
 	UpstreamIdleTimeout time.Duration
 
-	// Splice lets pure-relay nodes move chunk payloads from the upstream
-	// socket to the downstream socket inside the kernel (splice(2) via the
-	// runtime's TCP ReadFrom path) instead of staging them in pooled user-
-	// space buffers. It only ever engages on Linux, between real TCP
-	// connections, on nodes with no local consumer (no Sink) — everywhere
-	// else the pooled path runs unchanged, so the flag is safe to set
-	// unconditionally. Requires a file-backed source at node 0: a spliced
-	// relay retains nothing, so a recovering successor's FORGET resolves
-	// against the sender's file store instead of this node's window.
-	Splice bool `json:"Splice,omitempty"`
-
-	// DatagramBytes caps the payload carried by one UDP datagram on the
-	// "udp" transport (header excluded). Defaults to 1200 bytes, safely
-	// under the common 1500-byte path MTU. Only meaningful with
-	// Plan.Transport == "udp".
-	DatagramBytes int `json:"DatagramBytes,omitempty"`
-
 	// MinThroughput enables the paper's future-work extension (§V): a
 	// successor whose drain rate stays below this many bytes/second for
 	// longer than SlowNodeGrace is excluded from the transfer exactly
@@ -93,9 +76,7 @@ type Options struct {
 	// mid-broadcast — slow interiors sink to the leaves, fast nodes rise
 	// toward the root. Requires a "tree:<k>" topology. Where §V exclusion
 	// is binary (a slow node is cut), demotion is free: the slow node
-	// keeps receiving, it just stops throttling a subtree. Re-ranking
-	// sessions never splice (rate measurement needs user-space writes,
-	// and REORG frames interleave with DATA).
+	// keeps receiving, it just stops throttling a subtree.
 	Rerank bool `json:"Rerank,omitempty"`
 	// RerankInterval is the cadence of the rate-report spokes receivers
 	// play against node 0 (default 500 ms).
@@ -156,9 +137,6 @@ func (o Options) withDefaults() Options {
 		}
 		def(&o.RerankMinInterval, 2*o.RerankInterval)
 	}
-	if o.DatagramBytes <= 0 {
-		o.DatagramBytes = 1200
-	}
 	if o.Clock == nil {
 		o.Clock = SystemClock()
 	}
@@ -211,9 +189,6 @@ type Peer struct {
 	Name string
 	// Addr is the node's listen address, "host:port".
 	Addr string
-	// PacketAddr is the node's bound datagram address for the "udp"
-	// transport; empty on TCP plans.
-	PacketAddr string `json:"PacketAddr,omitempty"`
 }
 
 // Plan is the shared description of one broadcast: the ordered pipeline
@@ -225,53 +200,29 @@ type Plan struct {
 	// Session identifies this broadcast on shared data listeners. 0 keeps
 	// the node on the v1 wire format (single-broadcast processes).
 	Session SessionID
-	// Transport selects the data plane: "" or TransportTCP is the chunked
-	// relay pipeline over stream connections; TransportUDP is the batched
-	// datagram fan-out (node 0 sends to every receiver directly, losses are
-	// repaired with PGET range fetches over TCP). Control traffic — HELLO,
-	// PGET repair, the completion ring report — always runs over the stream
-	// transport.
-	Transport string `json:"Transport,omitempty"`
 	// Topology selects the dissemination shape over the ordered peers:
 	// "" or TopologyChain is the paper's linear pipeline (§III-A);
 	// "tree:<k>" arranges the same order as a BFS k-ary tree (every relay
 	// feeds up to k children from one replay window); and
 	// TopologyScatterAllgather names the MPI-style composite, which is
-	// dispatched outside core.Node (see internal/mpibcast). Like
-	// Transport, it travels in PREPARE so every host runs the same shape.
+	// dispatched outside core.Node (see internal/mpibcast). It travels
+	// in START so every host runs the same shape.
 	Topology string `json:"Topology,omitempty"`
 }
 
-// Data-plane transports carried in Plan.Transport.
-const (
-	TransportTCP = "tcp"
-	TransportUDP = "udp"
-)
-
-// validateShape checks the transport × topology × options combination —
-// the shape rules shared by SessionConfig.Validate (before addresses are
-// bound) and Plan.Validate (resolved wire plans). Address checks stay
-// with the caller: only resolved plans have addresses worth validating.
-func validateShape(transport, topology string, opts Options) error {
-	switch transport {
-	case "", TransportTCP, TransportUDP:
-	default:
-		return fmt.Errorf("kascade: unknown transport %q", transport)
-	}
+// validateShape checks the topology × options combination — the shape
+// rules shared by SessionConfig.Validate (before addresses are bound) and
+// Plan.Validate (resolved wire plans). Address checks stay with the caller:
+// only resolved plans have addresses worth validating.
+func validateShape(topology string, opts Options) error {
+	k := 0 // scatter-allgather is a composite, not a tree
 	if topology != TopologyScatterAllgather {
-		k, err := TreeArity(topology)
-		if err != nil {
+		var err error
+		if k, err = TreeArity(topology); err != nil {
 			return err
 		}
-		if k > 1 && transport == TransportUDP {
-			return fmt.Errorf("kascade: udp transport already fans out from the sender; it cannot carry topology %q", topology)
-		}
-		if opts.Rerank && k <= 1 {
-			return fmt.Errorf("kascade: rerank requires a tree topology (tree:<k>, k >= 2), not %q", topology)
-		}
-	} else if transport == TransportUDP {
-		return fmt.Errorf("kascade: udp transport cannot carry topology %q", topology)
-	} else if opts.Rerank {
+	}
+	if opts.Rerank && k <= 1 {
 		return fmt.Errorf("kascade: rerank requires a tree topology (tree:<k>, k >= 2), not %q", topology)
 	}
 	return opts.Validate()
@@ -282,15 +233,8 @@ func (p *Plan) Validate() error {
 	if len(p.Peers) == 0 {
 		return fmt.Errorf("kascade: empty plan")
 	}
-	if err := validateShape(p.Transport, p.Topology, p.Opts); err != nil {
+	if err := validateShape(p.Topology, p.Opts); err != nil {
 		return err
-	}
-	if p.Transport == TransportUDP {
-		for i, peer := range p.Peers {
-			if peer.PacketAddr == "" {
-				return fmt.Errorf("kascade: udp transport: peer %d (%s) has no packet address", i, peer.Name)
-			}
-		}
 	}
 	seen := make(map[string]bool, len(p.Peers))
 	for i, peer := range p.Peers {

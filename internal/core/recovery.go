@@ -39,10 +39,6 @@ func (n *Node) probe(addr string) bool {
 // whoever that is after failures.
 
 func (n *Node) upstreamLoop(ctx context.Context) error {
-	// However this loop ends, no frame will ever claim a splice offer
-	// again: shut the gate so a parked downstream sender falls back to the
-	// pooled path (and its store's terminal condition) instead of waiting.
-	defer n.closeSpliceGate()
 	var cur *upstreamConn
 	for {
 		if cur == nil {
@@ -164,17 +160,6 @@ func (n *Node) absorbReorgProof(repl *upstreamConn) uint64 {
 func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamConn, error) {
 	w := uc.w
 	poll := n.opts.pollInterval()
-	// engaged is the splice span in progress: this goroutine owns the
-	// parked successor's connection and relays DATA frames through the
-	// kernel until a non-DATA frame or an error ends the span.
-	var engaged *spliceOffer
-	finishEngaged := func() {
-		if engaged != nil {
-			engaged.finish()
-			engaged = nil
-		}
-	}
-	defer finishEngaged()
 	for {
 		// A better predecessor may be waiting even while the current
 		// connection keeps delivering (e.g. after it excluded a slow
@@ -201,51 +186,9 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 			return nil, nil // connection broken; await replacement
 		}
 		w.setReadDeadlineIn(n.opts.UpstreamIdleTimeout)
-		if typ != MsgData {
-			// Any non-DATA frame ends a splice span on its boundary: the
-			// last frame crossed whole, both streams are clean.
-			finishEngaged()
-		}
 		switch typ {
 		case MsgData:
-			size, err := w.readDataSize()
-			if err != nil {
-				return nil, nil
-			}
-			if engaged == nil && n.splice != nil {
-				if o := n.splice.take(); o != nil {
-					switch {
-					case n.spliceBroken.Load() || !transport.CanSplice(w.conn, o.conn):
-						o.resp <- spliceResult{noRetry: true}
-					case o.off != n.st.Head():
-						o.resp <- spliceResult{}
-					default:
-						engaged = o
-						o.resp <- spliceResult{engaged: true}
-					}
-				}
-			}
-			if engaged != nil {
-				if serr := n.spliceFrame(w, engaged.conn, size); serr != nil {
-					// Mid-frame failure: both byte streams are corrupt.
-					// Poison the fast path, surface the error to the
-					// parked sender (it kills its connection), and drop
-					// ours; the reconnect machinery re-syncs both sides.
-					n.spliceBroken.Store(true)
-					engaged.err = serr
-					finishEngaged()
-					return nil, nil
-				}
-				if aerr := n.ws.AppendVirtual(uint64(size)); aerr != nil {
-					finishEngaged()
-					return nil, aerr
-				}
-				engaged.moved += uint64(size)
-				n.countSpliced(uint64(size))
-				n.emit(TraceChunk, -1, n.bytesIn.Add(uint64(size)), "spliced")
-				continue
-			}
-			c, err := w.readDataInto(n.pool, size)
+			c, err := w.readData(n.pool)
 			if err != nil {
 				return nil, nil
 			}
@@ -257,9 +200,6 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 			if err != nil {
 				return nil, nil
 			}
-			// No DATA frame will follow: a parked (or future) splice
-			// offer must fall back to the pooled path to observe EOF.
-			n.closeSpliceGate()
 			n.ws.Finish(total)
 		case MsgQuit:
 			reason, err := w.readQuit()
@@ -270,7 +210,6 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 			case QuitUser:
 				// Anticipated end of stream: a report follows and
 				// the ring still closes (§III-C).
-				n.closeSpliceGate()
 				n.st.Abort(ErrQuit)
 				continue
 			case QuitExcluded:
@@ -288,20 +227,8 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 			if err != nil {
 				return nil, nil
 			}
-			// The gap fetch ingests through the pooled path while the
-			// successor may be parked in an offer; a parked successor
-			// never drains, so the window's back-pressure would deadlock
-			// against it. Bounce the offer (and any new ones) first.
-			if n.splice != nil {
-				n.splice.suspend()
-				n.splice.resolveTransient()
-			}
-			ferr := n.fetchGap(ctx, n.st.Head(), base)
-			if n.splice != nil {
-				n.splice.resume()
-			}
-			if ferr != nil {
-				n.abandon(fmt.Sprintf("gap [%d,%d) unrecoverable: %v", n.st.Head(), base, ferr))
+			if err := n.fetchGap(ctx, n.st.Head(), base); err != nil {
+				n.abandon(fmt.Sprintf("gap [%d,%d) unrecoverable: %v", n.st.Head(), base, err))
 				return nil, ErrAbandoned
 			}
 			w.setWriteDeadlineIn(n.opts.GetTimeout)
@@ -320,7 +247,6 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 			if err != nil {
 				return nil, nil
 			}
-			n.closeSpliceGate() // report phase: no DATA will follow
 			n.setUpReport(rep)
 			repl, err := n.awaitPassedPhase(ctx, uc)
 			if err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,14 +24,6 @@ type SessionConfig struct {
 	// Session identifies this broadcast on shared engines. Required
 	// (non-zero) when EngineFor is set; 0 keeps the v1 wire format.
 	Session SessionID
-
-	// Transport selects the data plane (Plan.Transport): "" or
-	// TransportTCP for the chunked relay pipeline, TransportUDP for the
-	// batched datagram fan-out. With TransportUDP every peer's network
-	// must implement transport.PacketNetwork; the session binds a
-	// datagram endpoint per peer (peers with an empty PacketAddr get an
-	// ephemeral port on their stream-address host).
-	Transport string
 
 	// Topology selects the dissemination shape (Plan.Topology): "" or
 	// TopologyChain for the paper's linear pipeline, TopologyTree(k) for
@@ -66,9 +57,8 @@ type SessionConfig struct {
 
 // Validate checks the session configuration before any listener binds.
 // It is the lifecycle API's single validation front door: the structural
-// wiring (peers, network/engine hooks) and the transport × topology ×
-// options shape that Options.Validate and Plan.Validate used to split
-// between them. Address checks are deliberately absent — peers may carry
+// wiring (peers, network/engine hooks) and the topology × options shape
+// that Options.Validate and Plan.Validate used to split between them. Address checks are deliberately absent — peers may carry
 // empty or duplicate addresses until StartSession resolves ephemeral
 // binds, after which the derived Plan re-validates with addresses.
 func (cfg *SessionConfig) Validate() error {
@@ -81,7 +71,7 @@ func (cfg *SessionConfig) Validate() error {
 	if cfg.EngineFor != nil && cfg.Session == 0 {
 		return fmt.Errorf("kascade: engine-attached sessions need a non-zero session ID")
 	}
-	return validateShape(cfg.Transport, cfg.Topology, cfg.Opts)
+	return validateShape(cfg.Topology, cfg.Opts)
 }
 
 // SessionResult aggregates the outcome of an in-process broadcast.
@@ -149,16 +139,10 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	// its engine's (already listening) data address, and connections
 	// arriving before the member registers are parked by the engine.
 	listeners := make([]transport.Listener, len(peers))
-	packets := make([]transport.PacketConn, len(peers))
 	closeListeners := func() {
 		for _, l := range listeners {
 			if l != nil {
 				l.Close()
-			}
-		}
-		for _, pc := range packets {
-			if pc != nil {
-				pc.Close()
 			}
 		}
 	}
@@ -175,31 +159,8 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		listeners[i] = l
 		peers[i].Addr = l.Addr() // resolve ephemeral ports
 	}
-	if cfg.Transport == TransportUDP {
-		// The datagram endpoints are bound up front too, so every peer's
-		// resolved PacketAddr travels in the shared plan before any node
-		// starts.
-		for i := range peers {
-			pn, ok := cfg.NetworkFor(i).(transport.PacketNetwork)
-			if !ok {
-				closeListeners()
-				return nil, fmt.Errorf("kascade: peer %d's network cannot carry datagrams", i)
-			}
-			addr := peers[i].PacketAddr
-			if addr == "" {
-				addr = packetBindAddr(peers[i].Addr)
-			}
-			pc, err := pn.ListenPacket(addr)
-			if err != nil {
-				closeListeners()
-				return nil, fmt.Errorf("kascade: binding packet %s: %w", addr, err)
-			}
-			packets[i] = pc
-			peers[i].PacketAddr = pc.LocalAddr()
-		}
-	}
 
-	plan := Plan{Peers: peers, Opts: cfg.Opts, Session: cfg.Session, Transport: cfg.Transport, Topology: cfg.Topology}
+	plan := Plan{Peers: peers, Opts: cfg.Opts, Session: cfg.Session, Topology: cfg.Topology}
 	if err := plan.Validate(); err != nil {
 		closeListeners()
 		return nil, err
@@ -212,7 +173,6 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 			Plan:     plan,
 			Network:  cfg.NetworkFor(i),
 			Listener: listeners[i],
-			Packet:   packets[i],
 			Trace:    cfg.Trace,
 		}
 		if cfg.EngineFor != nil {
@@ -263,15 +223,6 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		}(i)
 	}
 	return s, nil
-}
-
-// packetBindAddr derives the default datagram bind address from a resolved
-// stream address: same host, ephemeral port.
-func packetBindAddr(streamAddr string) string {
-	if i := strings.LastIndexByte(streamAddr, ':'); i >= 0 {
-		return streamAddr[:i+1] + "0"
-	}
-	return streamAddr + ":0"
 }
 
 // JoinConfig describes one late joiner of an in-process session: the

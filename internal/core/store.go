@@ -262,40 +262,6 @@ func (s *windowStore) Append(c *chunk) (woken int, err error) {
 	return woken, nil
 }
 
-// AppendVirtual advances the head past size bytes that were relayed through
-// the kernel (spliced) and are therefore NOT retained: base moves with head,
-// so the window over this span is empty and a successor asking for any of it
-// gets FORGET — which its recovery resolves against node 0's file store.
-// The armed readiness notify is deliberately NOT fired: the spliced span is
-// consumed by construction (the splice wrote it to the successor), so there
-// is no chunk for a scheduler worker to claim, and waking one would only
-// produce a phantom FORGET turn.
-func (s *windowStore) AppendVirtual(size uint64) error {
-	if size == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.abort != nil {
-		return s.abort
-	}
-	if s.ended {
-		return fmt.Errorf("kascade: append after end of stream")
-	}
-	// Splice only engages with the successor fully caught up, so every
-	// retained chunk is already consumed: release them before rebasing.
-	for s.count > 0 {
-		s.evictLocked()
-	}
-	s.head += size
-	s.base = s.head
-	if s.lowWater < s.head {
-		s.lowWater = s.head
-	}
-	s.wakeLocked()
-	return nil
-}
-
 // AppendBytes copies b into a pooled chunk and appends it. Convenience for
 // callers (and tests) that do not manage chunk references themselves.
 func (s *windowStore) AppendBytes(b []byte) error {

@@ -80,8 +80,7 @@ func TestTreeArity(t *testing.T) {
 }
 
 // TestPlanValidateTopology covers the plan-level topology rejections: a
-// malformed topology never reaches a node, and the UDP fan-out (which has
-// no relay pipeline to shape) cannot carry a tree.
+// malformed topology never reaches a node.
 func TestPlanValidateTopology(t *testing.T) {
 	base := func() *Plan {
 		return &Plan{Peers: []Peer{{Name: "a", Addr: "a:1"}, {Name: "b", Addr: "b:1"}}}
@@ -89,32 +88,19 @@ func TestPlanValidateTopology(t *testing.T) {
 	p := base()
 	p.Topology = TopologyTree(2)
 	if err := p.Validate(); err != nil {
-		t.Fatalf("tcp tree plan rejected: %v", err)
+		t.Fatalf("tree plan rejected: %v", err)
 	}
 	p = base()
 	p.Topology = "ring"
 	if err := p.Validate(); err == nil {
 		t.Fatal("malformed topology accepted")
 	}
-	p = base()
-	p.Transport = TransportUDP
-	p.Topology = TopologyTree(2)
-	for i := range p.Peers {
-		p.Peers[i].PacketAddr = fmt.Sprintf("p%d:1", i)
-	}
-	if err := p.Validate(); err == nil {
-		t.Fatal("udp plan with tree topology accepted")
-	}
-	p.Topology = TopologyScatterAllgather
-	if err := p.Validate(); err == nil {
-		t.Fatal("udp plan with scatter-allgather topology accepted")
-	}
 	// scatter-allgather validates as a plan (callers dispatch it to
 	// internal/mpibcast) but a Node must refuse to run it.
 	p = base()
 	p.Topology = TopologyScatterAllgather
 	if err := p.Validate(); err != nil {
-		t.Fatalf("tcp scatter-allgather plan rejected: %v", err)
+		t.Fatalf("scatter-allgather plan rejected: %v", err)
 	}
 	_, err := NewNode(NodeConfig{Index: 1, Plan: *p, Network: transport.TCP{}, Listener: nopListener{}})
 	if err == nil {

@@ -243,31 +243,14 @@ func (w *wire) readHelloAny() (Role, int, SessionID, error) {
 // caller owns (a nil pool serves one-off buffers). There is no intermediate
 // copy: the bytes land in the buffer that the window store will retain.
 func (w *wire) readData(pool *chunkPool) (*chunk, error) {
-	size, err := w.readDataSize()
+	size, err := w.readUint32()
 	if err != nil {
 		return nil, err
 	}
-	return w.readDataInto(pool, size)
-}
-
-// readDataSize reads and bounds-checks a DATA frame's length prefix, leaving
-// the payload unread. The splice path uses it to learn the frame size before
-// deciding whether the payload crosses through the kernel or lands in a
-// pooled buffer via readDataInto.
-func (w *wire) readDataSize() (int, error) {
-	size, err := w.readUint32()
-	if err != nil {
-		return 0, err
-	}
 	if size > maxFrameData {
-		return 0, fmt.Errorf("kascade: DATA frame of %d bytes exceeds limit", size)
+		return nil, fmt.Errorf("kascade: DATA frame of %d bytes exceeds limit", size)
 	}
-	return int(size), nil
-}
-
-// readDataInto reads a DATA payload of known size into a pool-owned buffer.
-func (w *wire) readDataInto(pool *chunkPool, size int) (*chunk, error) {
-	c := pool.get(size)
+	c := pool.get(int(size))
 	if err := w.readFull(c.bytes()); err != nil {
 		c.release()
 		return nil, err

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"time"
@@ -25,12 +24,6 @@ type Fabric struct {
 	cut       map[string]bool         // "src->dst" partitioned directions
 	stalled   map[string][]*halfPipe  // "src->dst" -> pipes paused by a fault
 	bufSize   int
-
-	// Datagram plane (memnet_packet.go).
-	packets map[string]*memPacketConn // bound address -> packet endpoint
-	ploss   map[string]float64        // "src->dst" -> datagram drop rate
-	prng    *rand.Rand                // seeded; guarded by mu
-	pport   int                       // ephemeral packet port counter
 }
 
 // NewFabric returns an empty fabric. bufSize is the per-direction pipe
@@ -47,10 +40,6 @@ func NewFabric(bufSize int) *Fabric {
 		cut:       make(map[string]bool),
 		stalled:   make(map[string][]*halfPipe),
 		bufSize:   bufSize,
-		packets:   make(map[string]*memPacketConn),
-		ploss:     make(map[string]float64),
-		prng:      rand.New(rand.NewSource(1)),
-		pport:     40000,
 	}
 }
 
@@ -94,16 +83,12 @@ func (f *Fabric) Kill(host string) {
 			delete(f.listeners, addr)
 		}
 	}
-	pcs := f.dropPacketHostLocked(host)
 	f.mu.Unlock()
 	for _, c := range toBreak {
 		c.breakConn(ErrReset)
 	}
 	for _, l := range toClose {
 		l.close()
-	}
-	for _, pc := range pcs {
-		pc.closeLocal()
 	}
 }
 

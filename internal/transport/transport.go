@@ -1,10 +1,10 @@
 // Package transport defines the byte-stream network abstraction shared by
 // every broadcast implementation in this repository.
 //
-// The Kascade protocol engine (internal/core) and the baselines
-// (internal/taktuk, internal/udpcast, internal/mpibcast) are written against
-// the Network/Listener/Conn interfaces below, never against package net
-// directly. Two backends are provided:
+// The Kascade protocol engine (internal/core) and the baseline engines the
+// paper compares it against are written against the Network/Listener/Conn
+// interfaces below, never against package net directly. Two backends are
+// provided:
 //
 //   - TCP (tcp.go): thin wrappers over the standard library's net package,
 //     used by the CLI, the examples, and the loopback integration tests.
