@@ -135,7 +135,7 @@ func (a *agent) serveConn(conn net.Conn) error {
 // the sink, attach a node to the shared engine, run it. ctx is cancelled
 // by lease expiry, RELEASE, or the control channel dropping.
 func (a *agent) runSession(ctx context.Context, req control.StartRequest) control.ResultReply {
-	sink, closeSink, err := openSink(req.Output)
+	sink, closeSink, err := openSink(req.Output, req.Opts.ChunkSize)
 	if err != nil {
 		return control.ResultReply{Err: err.Error()}
 	}
@@ -181,25 +181,31 @@ func (a *agent) joinSession(ctx context.Context, req control.JoinRequest, grafte
 	if name == "" {
 		name, _ = os.Hostname()
 	}
-	sink, closeSink, err := openSink(req.Output)
-	if err != nil {
-		return control.ResultReply{}, core.ErrJoinRefused(err.Error())
-	}
 	peer := core.Peer{
 		Name: name,
 		Addr: advertiseAddr(a.engine.Addr(), nil, a.advertise),
 	}
-	// Engine admission runs between JOININFO and JOINGO: the sender has
-	// told us the session's options (hence its memory reservation) but
-	// has not yet mutated its membership, so a refusal here leaves the
-	// live broadcast untouched.
+	// Engine admission and the sink both wait for JOININFO, which is
+	// where the sender tells us the session's options (hence its memory
+	// reservation and chunk size), and both come before JOINGO: the
+	// sender has not yet mutated its membership, so a refusal here
+	// leaves the live broadcast untouched.
 	var ticket *core.Ticket
 	var info *core.JoinSessionInfo
+	var sink io.Writer
+	closeSink := func() {}
 	admit := func(i *core.JoinSessionInfo) error {
 		info = i
 		ticket = a.engine.AdmitClass(req.Session, i.Opts.PoolReservation(), i.Opts.Class)
-		_, err := ticket.Wait(ctx)
-		return err
+		if _, err := ticket.Wait(ctx); err != nil {
+			return err
+		}
+		w, closeW, err := openSink(req.Output, i.Opts.ChunkSize)
+		if err != nil {
+			return core.ErrJoinRefused(err.Error())
+		}
+		sink, closeSink = w, closeW
+		return nil
 	}
 	grant, _, err := core.NegotiateJoin(transport.TCP{}, req.SenderAddr, req.Session, nil, peer, admit)
 	if err != nil {
@@ -304,9 +310,17 @@ func advertiseAddr(bound string, conn net.Conn, advertise string) string {
 	return net.JoinHostPort(host, port)
 }
 
-// openSink realises a sink spec. The returned closer flushes files and
-// waits for piped commands.
-func openSink(spec sinkSpec) (io.Writer, func(), error) {
+// maxSinkPipe caps the sink pipe's capacity at the kernel's default
+// /proc/sys/fs/pipe-max-size, the most an unprivileged process may ask for.
+const maxSinkPipe = 1 << 20
+
+// openSink realises a sink spec for a session with the given chunk size
+// (0 selects core.DefaultChunkSize). The returned closer flushes files and
+// waits for piped commands. A command's stdin pipe is sized to hold one
+// whole chunk (up to maxSinkPipe), so delivering a chunk costs one write
+// and one wake-up of the command rather than one per 64 KiB of the
+// kernel's default pipe.
+func openSink(spec sinkSpec, chunkSize int) (io.Writer, func(), error) {
 	switch {
 	case spec.Path != "" && spec.Command != "":
 		return nil, nil, fmt.Errorf("kascade: -o and -O are mutually exclusive")
@@ -317,18 +331,26 @@ func openSink(spec sinkSpec) (io.Writer, func(), error) {
 		}
 		return f, func() { f.Close() }, nil
 	case spec.Command != "":
-		cmd := exec.Command("sh", "-c", spec.Command)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		stdin, err := cmd.StdinPipe()
+		if chunkSize <= 0 {
+			chunkSize = core.DefaultChunkSize
+		}
+		pr, pw, err := os.Pipe()
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := cmd.Start(); err != nil {
+		setPipeSize(pw, min(chunkSize, maxSinkPipe))
+		cmd := exec.Command("sh", "-c", spec.Command)
+		cmd.Stdin = pr
+		cmd.Stdout = os.Stdout
+		cmd.Stderr = os.Stderr
+		err = cmd.Start()
+		pr.Close() // the command holds its own copy
+		if err != nil {
+			pw.Close()
 			return nil, nil, err
 		}
-		return stdin, func() {
-			stdin.Close()
+		return pw, func() {
+			pw.Close()
 			_ = cmd.Wait()
 		}, nil
 	default:

@@ -55,6 +55,7 @@ func agentMain(args []string) {
 	dataListen := fs.String("data", ":0", "shared data address all sessions are served on")
 	advertise := fs.String("advertise", "", "host to advertise for data connections (default: control host)")
 	_ = fs.Parse(args)
+	exitWithStderrReaders()
 	if err := runAgent(*listen, *dataListen, *advertise); err != nil {
 		fmt.Fprintln(os.Stderr, "kascade agent:", err)
 		os.Exit(1)
@@ -107,8 +108,8 @@ func parseRootFlags(args []string) (rootOptions, error) {
 	fs.StringVar(&o.input, "i", "-", "input file ('-' reads standard input)")
 	fs.StringVar(&o.outPath, "o", "", "output file path on every destination")
 	fs.StringVar(&o.outCmd, "O", "", "shell command consuming the stream on every destination")
-	fs.IntVar(&o.chunkKiB, "chunk", 1024, "chunk size in KiB")
-	fs.IntVar(&o.window, "window", 64, "replay window in chunks")
+	fs.IntVar(&o.chunkKiB, "chunk", core.DefaultChunkSize>>10, "chunk size in KiB")
+	fs.IntVar(&o.window, "window", core.DefaultWindowChunks, "replay window in chunks")
 	fs.StringVar(&o.class, "class", core.ClassBulk, "priority class on shared agents (bulk|interactive; drives admission order and scheduler weight)")
 	fs.StringVar(&o.topology, "topology", core.TopologyChain, "dissemination shape: chain (the paper's pipeline) or tree:<k> (k-ary tree; every relay feeds k children)")
 	fs.BoolVar(&o.rerank, "rerank", false, "self-reorganizing tree: re-rank the dissemination tree mid-broadcast by measured link rates (requires -topology tree:<k>)")

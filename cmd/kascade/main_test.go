@@ -7,8 +7,21 @@ import (
 	"path/filepath"
 	"testing"
 
+	"kascade/internal/core"
 	"kascade/internal/iolimit"
 )
+
+// asAgentEnv, when set in its environment, turns the test binary into a
+// `kascade agent` on loopback ports, so tests can run a real agent process.
+const asAgentEnv = "KASCADE_TEST_AS_AGENT"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asAgentEnv) == "1" {
+		agentMain([]string{"-listen", "127.0.0.1:0", "-data", "127.0.0.1:0"})
+		return
+	}
+	os.Exit(m.Run())
+}
 
 // TestLocalBroadcastEndToEnd exercises the complete CLI path — in-process
 // agents over loopback TCP, control protocol, plan assembly, the real
@@ -102,11 +115,22 @@ func TestLocalBroadcastFromStdinStream(t *testing.T) {
 	}
 }
 
+// TestRootFlagDefaultsMatchCoreOptions pins the CLI's -chunk and -window
+// defaults to the engine's, so the two cannot drift apart.
+func TestRootFlagDefaultsMatchCoreOptions(t *testing.T) {
+	o, _ := parseRootFlags(nil) // the error only says no receivers were named
+	got := o.protocolOptions()
+	if got.ChunkSize != core.DefaultChunkSize || got.WindowChunks != core.DefaultWindowChunks {
+		t.Fatalf("CLI defaults: %d-byte chunks × %d, core defaults: %d × %d",
+			got.ChunkSize, got.WindowChunks, core.DefaultChunkSize, core.DefaultWindowChunks)
+	}
+}
+
 func TestSinkSpecValidation(t *testing.T) {
-	if _, _, err := openSink(sinkSpec{Path: "a", Command: "b"}); err == nil {
+	if _, _, err := openSink(sinkSpec{Path: "a", Command: "b"}, 0); err == nil {
 		t.Fatal("conflicting sink spec accepted")
 	}
-	w, closeFn, err := openSink(sinkSpec{})
+	w, closeFn, err := openSink(sinkSpec{}, 0)
 	if err != nil || w == nil {
 		t.Fatalf("default sink: %v", err)
 	}

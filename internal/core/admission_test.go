@@ -60,6 +60,24 @@ func TestAdmitAcceptRefuse(t *testing.T) {
 	}
 }
 
+// TestAdmitDefaultSessionsFitDefaultBudget pins what the defaults buy an
+// agent: the default 256 MiB budget admits 14 default sessions of 18 MiB
+// ((64+8) chunks of 256 KiB) at once and queues the 15th.
+func TestAdmitDefaultSessionsFitDefaultBudget(t *testing.T) {
+	e := admitTestEngine(t, 0, EngineOptions{})
+	res := Options{}.PoolReservation()
+	for sid := SessionID(1); sid <= 14; sid++ {
+		if tk := e.Admit(sid, res); tk.Decision() != AdmitAccepted {
+			t.Fatalf("default session %d of 14: %v (%v)", sid, tk.Decision(), tk.Err())
+		}
+	}
+	tk := e.Admit(15, res)
+	defer tk.Cancel()
+	if tk.Decision() != AdmitQueued {
+		t.Fatalf("15th default session: %v, want queued", tk.Decision())
+	}
+}
+
 // TestAdmitQueueReleasedOnSessionEnd: a reservation that does not fit now
 // queues, is observable in EngineStats, and is admitted the moment a
 // running session's release frees the budget.

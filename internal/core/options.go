@@ -98,6 +98,15 @@ type Options struct {
 	Clock Clock `json:"-"`
 }
 
+// The default chunk and replay window: 64 chunks of 256 KiB keep 16 MiB of
+// payload per node for replay (§III-D2), and a session reserves
+// (DefaultWindowChunks+poolSlack)×DefaultChunkSize = 18 MiB of its engine's
+// memory budget. The CLI's -chunk and -window flags default to these too.
+const (
+	DefaultChunkSize    = 256 << 10
+	DefaultWindowChunks = 64
+)
+
 // withDefaults fills in zero fields with production defaults.
 func (o Options) withDefaults() Options {
 	def := func(d *time.Duration, v time.Duration) {
@@ -106,10 +115,10 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	if o.ChunkSize <= 0 {
-		o.ChunkSize = 1 << 20
+		o.ChunkSize = DefaultChunkSize
 	}
 	if o.WindowChunks <= 0 {
-		o.WindowChunks = 64
+		o.WindowChunks = DefaultWindowChunks
 	}
 	if o.MaxBatchBytes <= 0 {
 		o.MaxBatchBytes = 4 << 20

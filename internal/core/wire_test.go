@@ -217,7 +217,7 @@ func TestReportCloneIsDeep(t *testing.T) {
 
 func TestOptionsDefaultsAndValidation(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.ChunkSize != 1<<20 || o.WindowChunks != 64 {
+	if o.ChunkSize != 256<<10 || o.WindowChunks != 64 {
 		t.Fatalf("defaults: %+v", o)
 	}
 	if o.WriteStallTimeout != time.Second {

@@ -9,8 +9,9 @@ import (
 // KascadeParams tunes the Kascade pipeline model.
 type KascadeParams struct {
 	// ChunkSize is the simulation granularity in bytes (default 8 MiB;
-	// the real protocol chunk is 1 MiB but fluid chunks this size keep
-	// event counts manageable without changing steady-state results).
+	// the real protocol chunk defaults to 256 KiB but fluid chunks this
+	// size keep event counts manageable without changing steady-state
+	// results).
 	ChunkSize int64
 	// Depth is the number of chunks in flight per hop (TCP streaming
 	// depth; default 2).
