@@ -24,8 +24,8 @@ func TestTreeCrashProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(*chaosSeed))
 	const cases = 10
 	for i := 0; i < cases; i++ {
-		n := 3 + rng.Intn(14)      // [3, 16]
-		k := 2 + rng.Intn(3)       // [2, 4]
+		n := 3 + rng.Intn(14)       // [3, 16]
+		k := 2 + rng.Intn(3)        // [2, 4]
 		victim := 1 + rng.Intn(n-1) // any non-root node
 		shape := DefaultShape(n)
 		sc := Scenario{

@@ -14,12 +14,12 @@ import (
 type serveOutcome int
 
 const (
-	outcomeOK       serveOutcome = iota // sub-step succeeded, keep going
-	outcomeDone                         // full lifecycle completed (PASSED read)
-	outcomeRetry                        // transient failure, redial same successor
-	outcomeDead                         // successor confirmed dead, advance
-	outcomeTerminal                     // node-level failure, stop
-	outcomeSuperseded                   // rerank: the target adopted a better parent, release it
+	outcomeOK         serveOutcome = iota // sub-step succeeded, keep going
+	outcomeDone                           // full lifecycle completed (PASSED read)
+	outcomeRetry                          // transient failure, redial same successor
+	outcomeDead                           // successor confirmed dead, advance
+	outcomeTerminal                       // node-level failure, stop
+	outcomeSuperseded                     // rerank: the target adopted a better parent, release it
 )
 
 // maxRetriesPerSuccessor bounds redials of a live-but-flaky successor

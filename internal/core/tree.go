@@ -128,7 +128,6 @@ func (t *childCursors) minLocked() uint64 {
 	return m
 }
 
-
 // runTreeManager is the downstream side of a tree node: one worker per
 // child, each running the chain's serveSuccessor lifecycle against its own
 // cursor. A worker whose child is confirmed dead adopts the child's

@@ -130,9 +130,9 @@ func runTreeSession(t *testing.T, nodes, k, size int) *SessionResult {
 	}
 	payload := testPayload(size, int64(31*nodes+k))
 	res, err := RunSession(context.Background(), SessionConfig{
-		Peers:    peers,
-		Opts:     Options{ChunkSize: 8 << 10, WindowChunks: 8},
-		Topology: TopologyTree(k),
+		Peers:      peers,
+		Opts:       Options{ChunkSize: 8 << 10, WindowChunks: 8},
+		Topology:   TopologyTree(k),
 		NetworkFor: func(i int) transport.Network { return fabric.Host(peers[i].Name) },
 		SinkFor: func(i int) io.Writer {
 			if sinks[i] == nil {

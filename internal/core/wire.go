@@ -17,25 +17,25 @@ import (
 type MsgType byte
 
 const (
-	MsgHello  MsgType = iota + 1 // role + node index: opens every connection
-	MsgGet                       // offset: request stream data from offset
-	MsgPGet                      // [from,to): request a byte range (gap fetch)
-	MsgForget                    // min offset: requested data not available anymore
-	MsgData                      // length + payload: one chunk
-	MsgEnd                       // total length: end of stream
-	MsgQuit                      // reason: anticipated end of stream
-	MsgReport                    // length + JSON report
-	MsgPassed                    // report reached node 1; sender may exit
-	MsgPing                      // liveness probe
-	MsgPong                      // liveness answer
-	MsgHello2                    // HELLO v2: role + node index + session ID
-	MsgReorg                     // view version + slot assignment: tree re-ranking plan
-	MsgRate                      // length + JSON link-rate report (reorg spoke)
-	MsgReorg2                    // REORG plus the member table for slots beyond the start plan
-	MsgJoin                      // length + JSON join request (late joiner → node 0)
-	MsgJoinInfo                  // length + JSON session descriptor (node 0 → joiner, pre-admission)
-	MsgJoinGo                    // joiner passed local admission; node 0 may graft
-	MsgJoinOK                    // length + JSON join grant (node 0 → joiner)
+	MsgHello    MsgType = iota + 1 // role + node index: opens every connection
+	MsgGet                         // offset: request stream data from offset
+	MsgPGet                        // [from,to): request a byte range (gap fetch)
+	MsgForget                      // min offset: requested data not available anymore
+	MsgData                        // length + payload: one chunk
+	MsgEnd                         // total length: end of stream
+	MsgQuit                        // reason: anticipated end of stream
+	MsgReport                      // length + JSON report
+	MsgPassed                      // report reached node 1; sender may exit
+	MsgPing                        // liveness probe
+	MsgPong                        // liveness answer
+	MsgHello2                      // HELLO v2: role + node index + session ID
+	MsgReorg                       // view version + slot assignment: tree re-ranking plan
+	MsgRate                        // length + JSON link-rate report (reorg spoke)
+	MsgReorg2                      // REORG plus the member table for slots beyond the start plan
+	MsgJoin                        // length + JSON join request (late joiner → node 0)
+	MsgJoinInfo                    // length + JSON session descriptor (node 0 → joiner, pre-admission)
+	MsgJoinGo                      // joiner passed local admission; node 0 may graft
+	MsgJoinOK                      // length + JSON join grant (node 0 → joiner)
 )
 
 func (m MsgType) String() string {
