@@ -24,6 +24,13 @@ import (
 // with its control address.
 func startTestAgent(t *testing.T, engineOpts core.EngineOptions, leaseTTL time.Duration) (*agent, string) {
 	t.Helper()
+	return startTestAgentWith(t, engineOpts, leaseTTL, nil)
+}
+
+// startTestAgentWith is startTestAgent with a setup hook that may adjust
+// the agent before it serves.
+func startTestAgentWith(t *testing.T, engineOpts core.EngineOptions, leaseTTL time.Duration, setup func(*agent)) (*agent, string) {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -34,6 +41,9 @@ func startTestAgent(t *testing.T, engineOpts core.EngineOptions, leaseTTL time.D
 		t.Fatal(err)
 	}
 	a := newAgent(engine, "127.0.0.1", leaseTTL)
+	if setup != nil {
+		setup(a)
+	}
 	go a.serve(l)
 	t.Cleanup(func() { l.Close(); engine.Close() })
 	return a, l.Addr().String()
@@ -50,53 +60,15 @@ func testProtoOptions() core.Options {
 }
 
 // runSessionThrough drives one complete broadcast through an agent over an
-// already-open control channel: PREPARE (admission), START, in-process
-// sender node, RESULT.
+// already-open control channel and checks that the agent's file sink at
+// outPath holds the payload.
 func runSessionThrough(ctx context.Context, client *control.Client, sid core.SessionID, payload []byte, outPath string) error {
-	opts := testProtoOptions()
-	rep, err := client.Prepare(ctx, control.PrepareRequest{Session: sid, Reservation: opts.PoolReservation()})
-	if err != nil {
-		return fmt.Errorf("prepare: %w", err)
-	}
-
-	rootListener, err := transport.TCP{}.Listen("127.0.0.1:0")
+	report, res, err := broadcastThrough(ctx, client, sid, payload, sinkSpec{Path: outPath})
 	if err != nil {
 		return err
-	}
-	defer rootListener.Close()
-	peers := []core.Peer{
-		{Name: "sender", Addr: rootListener.Addr()},
-		{Name: fmt.Sprintf("agent-%d", sid), Addr: rep.DataAddr},
-	}
-	pending, err := client.Start(control.StartRequest{
-		Session: sid, Index: 1, Peers: peers, Opts: opts,
-		Output: sinkSpec{Path: outPath},
-	})
-	if err != nil {
-		return fmt.Errorf("start: %w", err)
-	}
-
-	node, err := core.NewNode(core.NodeConfig{
-		Index:     0,
-		Plan:      core.Plan{Peers: peers, Opts: opts, Session: sid},
-		Network:   transport.TCP{},
-		Listener:  rootListener,
-		InputFile: bytes.NewReader(payload),
-		InputSize: int64(len(payload)),
-	})
-	if err != nil {
-		return err
-	}
-	report, err := node.Run(ctx)
-	if err != nil {
-		return fmt.Errorf("sender: %w", err)
 	}
 	if len(report.Failures) != 0 {
 		return fmt.Errorf("failures: %v", report)
-	}
-	res, err := pending.Wait(ctx)
-	if err != nil {
-		return fmt.Errorf("result: %w", err)
 	}
 	if res.Err != "" {
 		return fmt.Errorf("agent result: %s", res.Err)
@@ -112,6 +84,55 @@ func runSessionThrough(ctx context.Context, client *control.Client, sid core.Ses
 		return fmt.Errorf("sink corrupted: %d of %d bytes", len(got), len(payload))
 	}
 	return nil
+}
+
+// broadcastThrough drives one broadcast through an agent over an
+// already-open control channel: PREPARE (admission), START with the given
+// sink, in-process sender node, RESULT. It returns the sender's report
+// and the agent's result.
+func broadcastThrough(ctx context.Context, client *control.Client, sid core.SessionID, payload []byte, out sinkSpec) (*core.Report, *control.ResultReply, error) {
+	opts := testProtoOptions()
+	rep, err := client.Prepare(ctx, control.PrepareRequest{Session: sid, Reservation: opts.PoolReservation()})
+	if err != nil {
+		return nil, nil, fmt.Errorf("prepare: %w", err)
+	}
+
+	rootListener, err := transport.TCP{}.Listen("127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer rootListener.Close()
+	peers := []core.Peer{
+		{Name: "sender", Addr: rootListener.Addr()},
+		{Name: fmt.Sprintf("agent-%d", sid), Addr: rep.DataAddr},
+	}
+	pending, err := client.Start(control.StartRequest{
+		Session: sid, Index: 1, Peers: peers, Opts: opts, Output: out,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("start: %w", err)
+	}
+
+	node, err := core.NewNode(core.NodeConfig{
+		Index:     0,
+		Plan:      core.Plan{Peers: peers, Opts: opts, Session: sid},
+		Network:   transport.TCP{},
+		Listener:  rootListener,
+		InputFile: bytes.NewReader(payload),
+		InputSize: int64(len(payload)),
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	report, err := node.Run(ctx)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sender: %w", err)
+	}
+	res, err := pending.Wait(ctx)
+	if err != nil {
+		return nil, nil, fmt.Errorf("result: %w", err)
+	}
+	return report, res, nil
 }
 
 // TestControlMux16SessionsOneConnection is the multiplexing acceptance
@@ -257,6 +278,40 @@ func (g *gatedReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // graft negotiation with the in-process sender, catch-up, and a
 // bit-perfect sink on both the original receiver and the late joiner.
 func TestControlJoinLiveBroadcast(t *testing.T) {
+	dir := t.TempDir()
+	outA := filepath.Join(dir, "receiver")
+	outB := filepath.Join(dir, "joiner")
+	joinLiveBroadcast(t, sinkSpec{Path: outA}, sinkSpec{Path: outB}, nil)
+	checkSinkFiles(t, map[string]string{"receiver": outA, "joiner": outB}, joinPayload())
+}
+
+// joinPayload is the payload joinLiveBroadcast sends.
+func joinPayload() []byte {
+	payload := make([]byte, 2<<20)
+	iolimit.NewPattern(int64(len(payload)), 77).Read(payload)
+	return payload
+}
+
+// checkSinkFiles asserts that every named file holds exactly payload.
+func checkSinkFiles(t *testing.T, files map[string]string, payload []byte) {
+	t.Helper()
+	for name, path := range files {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%s sink corrupted: %d of %d bytes", name, len(got), len(payload))
+		}
+	}
+}
+
+// joinLiveBroadcast runs joinPayload from an in-process sender through
+// agent A (sink outA), grafts agent B (sink outB) on as a late joiner once
+// the first megabyte is through, and waits for every result. setup, when
+// set, adjusts each agent before it serves.
+func joinLiveBroadcast(t *testing.T, outA, outB sinkSpec, setup func(*agent)) {
+	t.Helper()
 	opts := testProtoOptions()
 	opts.Rerank = true
 	opts.RerankInterval = 50 * time.Millisecond
@@ -264,8 +319,8 @@ func TestControlJoinLiveBroadcast(t *testing.T) {
 	const sid = core.SessionID(77)
 	const topology = "tree:2"
 
-	_, addrA := startTestAgent(t, core.EngineOptions{}, 0)
-	_, addrB := startTestAgent(t, core.EngineOptions{}, 0)
+	_, addrA := startTestAgentWith(t, core.EngineOptions{}, 0, setup)
+	_, addrB := startTestAgentWith(t, core.EngineOptions{}, 0, setup)
 	clientA, err := control.Dial(addrA, 5*time.Second, control.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -279,11 +334,7 @@ func TestControlJoinLiveBroadcast(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	payload := make([]byte, 2<<20)
-	iolimit.NewPattern(int64(len(payload)), 77).Read(payload)
-	dir := t.TempDir()
-	outA := filepath.Join(dir, "receiver")
-	outB := filepath.Join(dir, "joiner")
+	payload := joinPayload()
 
 	rep, err := clientA.Prepare(ctx, control.PrepareRequest{Session: sid, Reservation: opts.PoolReservation()})
 	if err != nil {
@@ -300,7 +351,7 @@ func TestControlJoinLiveBroadcast(t *testing.T) {
 	}
 	pendingA, err := clientA.Start(control.StartRequest{
 		Session: sid, Index: 1, Peers: peers, Opts: opts,
-		Topology: topology, Output: sinkSpec{Path: outA},
+		Topology: topology, Output: outA,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +386,7 @@ func TestControlJoinLiveBroadcast(t *testing.T) {
 		Session:    sid,
 		SenderAddr: rootListener.Addr(),
 		Name:       "late",
-		Output:     sinkSpec{Path: outB},
+		Output:     outB,
 	})
 	if err != nil {
 		t.Fatalf("join: %v", err)
@@ -361,15 +412,6 @@ func TestControlJoinLiveBroadcast(t *testing.T) {
 	}
 	if resB.Err != "" {
 		t.Fatalf("joiner result: %s", resB.Err)
-	}
-	for name, path := range map[string]string{"receiver": outA, "joiner": outB} {
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("%s sink corrupted: %d of %d bytes", name, len(got), len(payload))
-		}
 	}
 }
 

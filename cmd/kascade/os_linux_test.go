@@ -3,16 +3,25 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"kascade/internal/control"
+	"kascade/internal/core"
 	"kascade/internal/iolimit"
+	"kascade/internal/transport"
 )
 
 // pipeSize reports the capacity of the pipe behind f (fcntl F_GETPIPE_SZ).
@@ -37,8 +46,8 @@ func pipeSize(t *testing.T, f *os.File) int {
 }
 
 // TestSinkPipeHoldsChunk: a command sink's pipe holds one whole chunk, up to
-// the kernel's default pipe-max-size, and still delivers every byte before
-// the closer returns.
+// the kernel's default pipe-max-size, and still delivers every byte, copied
+// or vmspliced, before the closer returns.
 func TestSinkPipeHoldsChunk(t *testing.T) {
 	for _, tc := range []struct{ chunk, lo, hi int }{
 		{256 << 10, 256 << 10, maxSinkPipe},
@@ -49,22 +58,35 @@ func TestSinkPipeHoldsChunk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, ok := w.(*os.File)
+		s, ok := w.(*pipeSink)
 		if !ok {
 			closeSink()
-			t.Fatalf("command sink is a %T, want *os.File", w)
+			t.Fatalf("command sink is a %T, want *pipeSink", w)
 		}
-		if n := pipeSize(t, f); n < tc.lo || n > tc.hi {
+		if n := pipeSize(t, s.w); n < tc.lo || n > tc.hi {
 			closeSink()
 			t.Fatalf("chunk %d: pipe holds %d bytes, want %d to %d", tc.chunk, n, tc.lo, tc.hi)
 		}
 		payload := make([]byte, 3<<20+17)
 		iolimit.NewPattern(int64(len(payload)), 3).Read(payload)
-		if _, err := w.Write(payload); err != nil {
+		half := len(payload) / 2
+		if _, err := s.Write(payload[:half]); err != nil {
 			closeSink()
 			t.Fatal(err)
 		}
+		for p := payload[half:]; len(p) > 0; {
+			n := min(len(p), tc.chunk)
+			if err := s.WriteRef(p[:n]); err != nil {
+				closeSink()
+				t.Fatal(err)
+			}
+			p = p[n:]
+		}
 		closeSink() // must wait for cat to finish writing out
+		closeSink() // and do nothing the second time
+		if n := s.Unread(); n != 0 {
+			t.Fatalf("chunk %d: %d bytes unread after close", tc.chunk, n)
+		}
 		got, err := os.ReadFile(out)
 		if err != nil {
 			t.Fatal(err)
@@ -75,10 +97,131 @@ func TestSinkPipeHoldsChunk(t *testing.T) {
 	}
 }
 
+// TestSinkPipeUnreadTracksReader: Unread counts the vmspliced bytes the
+// command has not read, and a background child that keeps the pipe past
+// the command's exit leaves them counted after Close, so the node keeps
+// their buffers.
+func TestSinkPipeUnreadTracksReader(t *testing.T) {
+	dir := t.TempDir()
+	release := filepath.Join(dir, "release")
+	out := filepath.Join(dir, "out")
+	// The shell exits at once; its background child holds the read end and
+	// reads once the release file exists, or after 5 s whatever happens.
+	cmd := fmt.Sprintf("exec 3<&0; (i=0; while [ ! -e %s ] && [ $i -lt 500 ]; do sleep 0.01; i=$((i+1)); done; cat > %s) <&3 &", release, out)
+	w, closeSink, err := openSink(sinkSpec{Command: cmd}, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := w.(*pipeSink)
+	payload := make([]byte, 40<<10)
+	iolimit.NewPattern(int64(len(payload)), 5).Read(payload)
+	if err := s.WriteRef(payload); err != nil {
+		closeSink()
+		t.Fatal(err)
+	}
+	if n := s.Unread(); n != len(payload) {
+		closeSink()
+		t.Fatalf("Unread = %d before any read, want %d", n, len(payload))
+	}
+	closeSink() // returns once the shell exited, the child still holding the pipe
+	if n := s.Unread(); n != len(payload) {
+		t.Fatalf("Unread = %d after close with a reader left, want %d", n, len(payload))
+	}
+	if err := os.WriteFile(release, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got, _ := os.ReadFile(out)
+		if bytes.Equal(got, payload) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("background reader wrote %d of %d bytes", len(got), len(payload))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestSinkCommandEarlyExitAbandons: a -O command that exits after its first
+// byte turns a later write into a sink error, and the agent abandons the
+// session and reports it instead of hanging.
+func TestSinkCommandEarlyExitAbandons(t *testing.T) {
+	_, addr := startTestAgent(t, core.EngineOptions{}, 0)
+	client, err := control.Dial(addr, 5*time.Second, control.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	payload := make([]byte, 8<<20)
+	iolimit.NewPattern(int64(len(payload)), 9).Read(payload)
+	report, res, err := broadcastThrough(ctx, client, 91, payload, sinkSpec{Command: "head -c 1 > /dev/null"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err == "" || res.Bytes == uint64(len(payload)) {
+		t.Errorf("agent result: error %q after %d of %d bytes, want a failed session", res.Err, res.Bytes, len(payload))
+	}
+	if !report.Failed(1) {
+		t.Errorf("sender report does not name the agent: %v", report)
+	}
+}
+
+// refCountingSink counts the bytes a pipe sink takes by reference.
+type refCountingSink struct {
+	*pipeSink
+	refBytes atomic.Int64
+}
+
+func (s *refCountingSink) WriteRef(p []byte) error {
+	s.refBytes.Add(int64(len(p)))
+	return s.pipeSink.WriteRef(p)
+}
+
+// TestJoinerSinkCopies: a late joiner's -O sink takes the copying path (its
+// catch-up serializer writes out of order-bound spill buffers), while the
+// member it joins vmsplices; both commands receive the payload intact.
+func TestJoinerSinkCopies(t *testing.T) {
+	var mu sync.Mutex
+	sinks := map[string]*refCountingSink{}
+	setup := func(a *agent) {
+		a.openSink = func(spec sinkSpec, chunkSize int) (io.Writer, func(), error) {
+			w, closeW, err := openSink(spec, chunkSize)
+			if ps, ok := w.(*pipeSink); ok {
+				rs := &refCountingSink{pipeSink: ps}
+				mu.Lock()
+				sinks[spec.Command] = rs
+				mu.Unlock()
+				return rs, closeW, err
+			}
+			return w, closeW, err
+		}
+	}
+	dir := t.TempDir()
+	outA := filepath.Join(dir, "receiver")
+	outB := filepath.Join(dir, "joiner")
+	cmdA, cmdB := "cat > "+outA, "cat > "+outB
+	joinLiveBroadcast(t, sinkSpec{Command: cmdA}, sinkSpec{Command: cmdB}, setup)
+	checkSinkFiles(t, map[string]string{"receiver": outA, "joiner": outB}, joinPayload())
+	mu.Lock()
+	defer mu.Unlock()
+	if sinks[cmdA] == nil || sinks[cmdB] == nil {
+		t.Fatalf("sinks opened: %v", sinks)
+	}
+	if n := sinks[cmdA].refBytes.Load(); n == 0 {
+		t.Error("the member's sink took nothing by reference")
+	}
+	if n := sinks[cmdB].refBytes.Load(); n != 0 {
+		t.Errorf("the joiner's sink took %d bytes by reference, want the copying path", n)
+	}
+}
+
 // execTestAgent re-executes the test binary as an agent with the given
-// standard error and returns a channel that yields its exit error. The
-// agent is killed when the test ends.
-func execTestAgent(t *testing.T, stderr *os.File) <-chan error {
+// standard error and returns its pid and a channel that yields its exit
+// error. The agent is killed when the test ends.
+func execTestAgent(t *testing.T, stderr *os.File) (int, <-chan error) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), asAgentEnv+"=1")
@@ -95,7 +238,7 @@ func execTestAgent(t *testing.T, stderr *os.File) <-chan error {
 		_ = cmd.Process.Kill()
 		<-exited
 	})
-	return exited
+	return cmd.Process.Pid, exited
 }
 
 // TestAgentExitsWithoutStderrReader: an agent whose standard error is a
@@ -106,7 +249,7 @@ func TestAgentExitsWithoutStderrReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exited := execTestAgent(t, pw)
+	_, exited := execTestAgent(t, pw)
 	pw.Close()
 	banner, err := bufio.NewReader(pr).ReadString('\n')
 	if err != nil || !strings.Contains(banner, "control on") {
@@ -125,6 +268,122 @@ func TestAgentExitsWithoutStderrReader(t *testing.T) {
 	}
 }
 
+// processGone reports whether pid has exited: no such process, or a zombie
+// its new parent has not reaped yet.
+func processGone(pid int) bool {
+	if err := syscall.Kill(pid, 0); err == syscall.ESRCH {
+		return true
+	}
+	stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+	if err != nil {
+		return true
+	}
+	i := bytes.LastIndexByte(stat, ')') // the state follows the command name
+	return i >= 0 && i+2 < len(stat) && stat[i+2] == 'Z'
+}
+
+// TestAgentMidSessionExitsWithoutStderrReader: an agent in the middle of an
+// -O session exits once its stderr reader is gone, and its sink command
+// sees the end of its input and exits too. Neither outlives the reader by
+// more than 5 s.
+func TestAgentMidSessionExitsWithoutStderrReader(t *testing.T) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	agentPid, exited := execTestAgent(t, pw)
+	pw.Close()
+	banner, err := bufio.NewReader(pr).ReadString('\n')
+	_, rest, ok := strings.Cut(banner, "control on ")
+	addr, _, _ := strings.Cut(rest, ",")
+	if err != nil || !ok {
+		t.Fatalf("agent banner %q: %v", banner, err)
+	}
+	client, err := control.Dial(addr, 5*time.Second, control.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := testProtoOptions()
+	const sid = 5
+	rep, err := client.Prepare(ctx, control.PrepareRequest{Session: sid, Reservation: opts.PoolReservation()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootListener, err := transport.TCP{}.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rootListener.Close()
+	peers := []core.Peer{{Name: "sender", Addr: rootListener.Addr()}, {Name: "agent", Addr: rep.DataAddr}}
+	pidFile := filepath.Join(t.TempDir(), "sink.pid")
+	if _, err := client.Start(control.StartRequest{
+		Session: sid, Index: 1, Peers: peers, Opts: opts,
+		Output: sinkSpec{Command: "echo $$ > " + pidFile + "; exec cat > /dev/null"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A streamed source that stalls after 4 MiB keeps the session open.
+	in, feed := io.Pipe()
+	defer feed.Close()
+	node, err := core.NewNode(core.NodeConfig{
+		Index: 0, Plan: core.Plan{Peers: peers, Opts: opts, Session: sid},
+		Network: transport.TCP{}, Listener: rootListener, Input: in,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	senderDone := make(chan struct{})
+	go func() {
+		defer close(senderDone)
+		_, _ = node.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		feed.CloseWithError(errors.New("test over"))
+		<-senderDone
+	}()
+	payload := make([]byte, 4<<20)
+	iolimit.NewPattern(int64(len(payload)), 11).Read(payload)
+	if _, err := feed.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	var sinkPid int
+	for deadline := time.Now().Add(5 * time.Second); sinkPid == 0; {
+		if b, err := os.ReadFile(pidFile); err == nil {
+			sinkPid, _ = strconv.Atoi(strings.TrimSpace(string(b)))
+		}
+		if sinkPid == 0 && time.Now().After(deadline) {
+			t.Fatal("the sink command never started")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	pr.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	select {
+	case err := <-exited:
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+			t.Fatalf("agent exit: %v, want status 1", err)
+		}
+	case <-time.After(time.Until(deadline)):
+		t.Fatal("agent still running 5 s after its stderr reader went away")
+	}
+	for !processGone(agentPid) || !processGone(sinkPid) {
+		if time.Now().After(deadline) {
+			t.Fatalf("5 s after the stderr reader went away: agent %d gone %v, sink command %d gone %v",
+				agentPid, processGone(agentPid), sinkPid, processGone(sinkPid))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestAgentStaysUpWithStderrNotAPipe: standard error that is not a pipe
 // (here /dev/null) is not watched, so the agent keeps serving.
 func TestAgentStaysUpWithStderrNotAPipe(t *testing.T) {
@@ -133,7 +392,7 @@ func TestAgentStaysUpWithStderrNotAPipe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer null.Close()
-	exited := execTestAgent(t, null)
+	_, exited := execTestAgent(t, null)
 	select {
 	case err := <-exited:
 		t.Fatalf("agent with stderr on %s exited: %v", os.DevNull, err)

@@ -69,7 +69,8 @@ type NodeConfig struct {
 	// pool against the global memory budget.
 	Engine *Engine
 	// Sink receives the broadcast payload locally; nil discards it.
-	// Only meaningful for receivers (Index > 0).
+	// Only meaningful for receivers (Index > 0). A Sink that is also a
+	// RefSink takes chunks by reference and is closed by Run.
 	Sink io.Writer
 
 	// Trace observes this node's recovery-path state transitions (failure
@@ -125,6 +126,7 @@ type Node struct {
 	basePeers int
 	closing   bool       // node 0: ring is closing, no further joins
 	joinSt    *joinState // late joiner only: catch-up / backlog state
+	refs      *sinkRefs  // chunks a RefSink still refers to (nil: copying sink)
 
 	mu            sync.Mutex
 	detected      []Failure
@@ -253,6 +255,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		occ := append([]int32(nil), g.Occupants...)
 		n.view.Store(viewFromOccupants(g.Version, occ))
 		n.joinSt = newJoinState(cfg.Sink, g.Head, int64(opts.PoolReservation()), opts.ChunkSize)
+	} else if rs, ok := cfg.Sink.(RefSink); ok && cfg.Index > 0 {
+		n.refs = &sinkRefs{sink: rs}
 	}
 	if cfg.Index == 0 {
 		// The sender originates the report chain: its own report is
@@ -414,6 +418,11 @@ func (n *Node) Run(ctx context.Context) (*Report, error) {
 		detail = err.Error()
 	}
 	n.emit(TraceFinished, -1, n.bytesIn.Load(), detail)
+	if n.refs != nil {
+		// The ingest goroutine has ended; no buffer may reach the arena
+		// while the sink can still read it.
+		n.refs.close()
+	}
 	n.recycle()
 	return rep, err
 }
