@@ -9,9 +9,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"kascade/internal/control"
@@ -73,8 +71,6 @@ type agent struct {
 	engine    *core.Engine
 	advertise string
 	srv       *control.Server
-	// openSink realises a session's sink; tests wrap it.
-	openSink func(spec sinkSpec, chunkSize int) (io.Writer, func(), error)
 
 	// ctrlConns counts control connections currently open, v1 and framed
 	// alike — the multiplexing invariant (one per sender, however many
@@ -87,7 +83,7 @@ type agent struct {
 // newAgent builds the serving state around an engine. leaseTTL <= 0
 // selects the control server's default.
 func newAgent(engine *core.Engine, advertise string, leaseTTL time.Duration) *agent {
-	a := &agent{engine: engine, advertise: advertise, openSink: openSink}
+	a := &agent{engine: engine, advertise: advertise}
 	a.srv = &control.Server{
 		Engine:   engine,
 		DataAddr: func(conn net.Conn) string { return advertiseAddr(engine.Addr(), conn, advertise) },
@@ -139,7 +135,7 @@ func (a *agent) serveConn(conn net.Conn) error {
 // the sink, attach a node to the shared engine, run it. ctx is cancelled
 // by lease expiry, RELEASE, or the control channel dropping.
 func (a *agent) runSession(ctx context.Context, req control.StartRequest) control.ResultReply {
-	sink, closeSink, err := a.openSink(req.Output, req.Opts.ChunkSize)
+	sink, closeSink, err := openSink(req.Output, req.Opts.ChunkSize)
 	if err != nil {
 		return control.ResultReply{Err: err.Error()}
 	}
@@ -204,7 +200,7 @@ func (a *agent) joinSession(ctx context.Context, req control.JoinRequest, grafte
 		if _, err := ticket.Wait(ctx); err != nil {
 			return err
 		}
-		w, closeW, err := a.openSink(req.Output, i.Opts.ChunkSize)
+		w, closeW, err := openSink(req.Output, i.Opts.ChunkSize)
 		if err != nil {
 			return core.ErrJoinRefused(err.Error())
 		}
@@ -320,10 +316,11 @@ const maxSinkPipe = 1 << 20
 
 // openSink realises a sink spec for a session with the given chunk size
 // (0 selects core.DefaultChunkSize). The returned closer flushes files and
-// waits for piped commands; it may be called more than once. A command's
-// stdin pipe is sized to hold one whole chunk (up to maxSinkPipe), so
-// delivering a chunk costs one write and one wake-up of the command rather
-// than one per 64 KiB of the kernel's default pipe.
+// waits for piped commands. A command's stdin pipe is sized to hold one
+// whole chunk (up to maxSinkPipe), so delivering a chunk costs one write
+// and one wake-up of the command rather than one per 64 KiB of the
+// kernel's default pipe. The pipe is a core.PipeSink: on Linux the node
+// moves chunks into it from its upstream socket without copying them.
 func openSink(spec sinkSpec, chunkSize int) (io.Writer, func(), error) {
 	switch {
 	case spec.Path != "" && spec.Command != "":
@@ -338,73 +335,26 @@ func openSink(spec sinkSpec, chunkSize int) (io.Writer, func(), error) {
 		if chunkSize <= 0 {
 			chunkSize = core.DefaultChunkSize
 		}
-		s, err := startPipeSink(spec.Command, min(chunkSize, maxSinkPipe))
+		pr, pw, err := os.Pipe()
 		if err != nil {
 			return nil, nil, err
 		}
-		return s, func() { _ = s.Close() }, nil
+		setPipeSize(pw, min(chunkSize, maxSinkPipe))
+		cmd := exec.Command("sh", "-c", spec.Command)
+		cmd.Stdin = pr
+		cmd.Stdout = os.Stdout
+		cmd.Stderr = os.Stderr
+		err = cmd.Start()
+		pr.Close() // the command holds its own copy
+		if err != nil {
+			pw.Close()
+			return nil, nil, err
+		}
+		return pw, func() {
+			pw.Close()
+			_ = cmd.Wait()
+		}, nil
 	default:
 		return io.Discard, func() {}, nil
 	}
-}
-
-// pipeSink feeds a -O command through a pipe to its standard input. Write
-// copies into the pipe. On Linux the sink is also a core.RefSink: WriteRef
-// vmsplices a chunk's pages into the pipe instead, and the node keeps the
-// chunk's buffer until Unread shows the command has read it (os_linux.go).
-type pipeSink struct {
-	w      *os.File // the pipe's write end
-	rc     syscall.RawConn
-	exited chan struct{} // closed once the command has exited
-	err    error         // the command's exit, valid once exited is closed
-
-	closeOnce sync.Once
-	closed    bool
-	stranded  int // bytes a reader may still take after Close
-}
-
-// startPipeSink starts sh -c command reading from a new pipe of the given
-// capacity (best effort).
-func startPipeSink(command string, capacity int) (*pipeSink, error) {
-	pr, pw, err := os.Pipe()
-	if err != nil {
-		return nil, err
-	}
-	setPipeSize(pw, capacity)
-	rc, err := pw.SyscallConn()
-	if err != nil {
-		pr.Close()
-		pw.Close()
-		return nil, err
-	}
-	cmd := exec.Command("sh", "-c", command)
-	cmd.Stdin = pr
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	err = cmd.Start()
-	pr.Close() // the command holds its own copy
-	if err != nil {
-		pw.Close()
-		return nil, err
-	}
-	s := &pipeSink{w: pw, rc: rc, exited: make(chan struct{})}
-	go func() {
-		s.err = cmd.Wait()
-		close(s.exited)
-	}()
-	return s, nil
-}
-
-func (s *pipeSink) Write(p []byte) (int, error) { return s.w.Write(p) }
-
-// Close lets the command read what the pipe still holds, ends its input
-// and waits for it to exit. Only the first call does anything.
-func (s *pipeSink) Close() error {
-	s.closeOnce.Do(func() {
-		s.stranded = s.awaitDrain()
-		s.closed = true
-		s.w.Close()
-		<-s.exited
-	})
-	return s.err
 }

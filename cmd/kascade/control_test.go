@@ -24,13 +24,6 @@ import (
 // with its control address.
 func startTestAgent(t *testing.T, engineOpts core.EngineOptions, leaseTTL time.Duration) (*agent, string) {
 	t.Helper()
-	return startTestAgentWith(t, engineOpts, leaseTTL, nil)
-}
-
-// startTestAgentWith is startTestAgent with a setup hook that may adjust
-// the agent before it serves.
-func startTestAgentWith(t *testing.T, engineOpts core.EngineOptions, leaseTTL time.Duration, setup func(*agent)) (*agent, string) {
-	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -41,9 +34,6 @@ func startTestAgentWith(t *testing.T, engineOpts core.EngineOptions, leaseTTL ti
 		t.Fatal(err)
 	}
 	a := newAgent(engine, "127.0.0.1", leaseTTL)
-	if setup != nil {
-		setup(a)
-	}
 	go a.serve(l)
 	t.Cleanup(func() { l.Close(); engine.Close() })
 	return a, l.Addr().String()
@@ -278,40 +268,6 @@ func (g *gatedReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // graft negotiation with the in-process sender, catch-up, and a
 // bit-perfect sink on both the original receiver and the late joiner.
 func TestControlJoinLiveBroadcast(t *testing.T) {
-	dir := t.TempDir()
-	outA := filepath.Join(dir, "receiver")
-	outB := filepath.Join(dir, "joiner")
-	joinLiveBroadcast(t, sinkSpec{Path: outA}, sinkSpec{Path: outB}, nil)
-	checkSinkFiles(t, map[string]string{"receiver": outA, "joiner": outB}, joinPayload())
-}
-
-// joinPayload is the payload joinLiveBroadcast sends.
-func joinPayload() []byte {
-	payload := make([]byte, 2<<20)
-	iolimit.NewPattern(int64(len(payload)), 77).Read(payload)
-	return payload
-}
-
-// checkSinkFiles asserts that every named file holds exactly payload.
-func checkSinkFiles(t *testing.T, files map[string]string, payload []byte) {
-	t.Helper()
-	for name, path := range files {
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("%s sink corrupted: %d of %d bytes", name, len(got), len(payload))
-		}
-	}
-}
-
-// joinLiveBroadcast runs joinPayload from an in-process sender through
-// agent A (sink outA), grafts agent B (sink outB) on as a late joiner once
-// the first megabyte is through, and waits for every result. setup, when
-// set, adjusts each agent before it serves.
-func joinLiveBroadcast(t *testing.T, outA, outB sinkSpec, setup func(*agent)) {
-	t.Helper()
 	opts := testProtoOptions()
 	opts.Rerank = true
 	opts.RerankInterval = 50 * time.Millisecond
@@ -319,8 +275,8 @@ func joinLiveBroadcast(t *testing.T, outA, outB sinkSpec, setup func(*agent)) {
 	const sid = core.SessionID(77)
 	const topology = "tree:2"
 
-	_, addrA := startTestAgentWith(t, core.EngineOptions{}, 0, setup)
-	_, addrB := startTestAgentWith(t, core.EngineOptions{}, 0, setup)
+	_, addrA := startTestAgent(t, core.EngineOptions{}, 0)
+	_, addrB := startTestAgent(t, core.EngineOptions{}, 0)
 	clientA, err := control.Dial(addrA, 5*time.Second, control.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +290,11 @@ func joinLiveBroadcast(t *testing.T, outA, outB sinkSpec, setup func(*agent)) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	payload := joinPayload()
+	payload := make([]byte, 2<<20)
+	iolimit.NewPattern(int64(len(payload)), 77).Read(payload)
+	dir := t.TempDir()
+	outA := filepath.Join(dir, "receiver")
+	outB := filepath.Join(dir, "joiner")
 
 	rep, err := clientA.Prepare(ctx, control.PrepareRequest{Session: sid, Reservation: opts.PoolReservation()})
 	if err != nil {
@@ -351,7 +311,7 @@ func joinLiveBroadcast(t *testing.T, outA, outB sinkSpec, setup func(*agent)) {
 	}
 	pendingA, err := clientA.Start(control.StartRequest{
 		Session: sid, Index: 1, Peers: peers, Opts: opts,
-		Topology: topology, Output: outA,
+		Topology: topology, Output: sinkSpec{Path: outA},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +346,7 @@ func joinLiveBroadcast(t *testing.T, outA, outB sinkSpec, setup func(*agent)) {
 		Session:    sid,
 		SenderAddr: rootListener.Addr(),
 		Name:       "late",
-		Output:     outB,
+		Output:     sinkSpec{Path: outB},
 	})
 	if err != nil {
 		t.Fatalf("join: %v", err)
@@ -412,6 +372,15 @@ func joinLiveBroadcast(t *testing.T, outA, outB sinkSpec, setup func(*agent)) {
 	}
 	if resB.Err != "" {
 		t.Fatalf("joiner result: %s", resB.Err)
+	}
+	for name, path := range map[string]string{"receiver": outA, "joiner": outB} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%s sink corrupted: %d of %d bytes", name, len(got), len(payload))
+		}
 	}
 }
 

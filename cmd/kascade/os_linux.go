@@ -1,13 +1,9 @@
 package main
 
 import (
-	"math"
 	"os"
 	"syscall"
-	"time"
 	"unsafe"
-
-	"kascade/internal/core"
 )
 
 // fSetPipeSize is fcntl's F_SETPIPE_SZ (F_LINUX_SPECIFIC_BASE + 7, the same
@@ -29,109 +25,6 @@ func setPipeSize(f *os.File, n int) {
 	})
 }
 
-// spliceFNonblock is vmsplice's SPLICE_F_NONBLOCK, the same on every Linux
-// architecture. vmsplice ignores the pipe's own O_NONBLOCK, and without the
-// flag a full pipe would block the thread instead of parking the goroutine
-// on the poller.
-const spliceFNonblock = 0x2
-
-// pollErr is poll's POLLERR. It is reported even when no event is asked
-// for, and on a pipe's write end it means no reader is left.
-const pollErr = 0x8
-
-// pollRevents polls fd for no events, blocking if ts is nil, and returns
-// the events the kernel reports anyway.
-func pollRevents(fd uintptr, ts *syscall.Timespec) (int16, syscall.Errno) {
-	pfd := struct {
-		fd      int32
-		events  int16
-		revents int16
-	}{fd: int32(fd)}
-	_, _, errno := syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&pfd)), 1, uintptr(unsafe.Pointer(ts)), 0, 0, 0)
-	return pfd.revents, errno
-}
-
-// WriteRef puts p's pages into the pipe with vmsplice(2) instead of
-// copying them: the command reads the caller's memory, so p must stay
-// unmodified until Unread shows it read. A full pipe parks the goroutine
-// on the poller, exactly as Write does.
-func (s *pipeSink) WriteRef(p []byte) error {
-	for len(p) > 0 {
-		var n uintptr
-		var errno syscall.Errno
-		err := s.rc.Write(func(fd uintptr) bool {
-			iov := syscall.Iovec{Base: &p[0]}
-			iov.SetLen(len(p))
-			n, _, errno = syscall.Syscall6(syscall.SYS_VMSPLICE, fd, uintptr(unsafe.Pointer(&iov)), 1, spliceFNonblock, 0, 0)
-			return errno != syscall.EAGAIN
-		})
-		switch {
-		case err != nil:
-			return err
-		case errno == syscall.EINTR:
-			continue
-		case errno != 0:
-			return os.NewSyscallError("vmsplice", errno)
-		}
-		p = p[n:]
-	}
-	return nil
-}
-
-// Unread reports the bytes the pipe holds (ioctl TIOCINQ). After Close it
-// reports those a reader other than the command may still take. An
-// unanswerable ioctl counts everything as unread.
-func (s *pipeSink) Unread() int {
-	if s.closed {
-		return s.stranded
-	}
-	var n int32
-	var errno syscall.Errno
-	if err := s.rc.Control(func(fd uintptr) {
-		_, _, errno = syscall.Syscall(syscall.SYS_IOCTL, fd, syscall.TIOCINQ, uintptr(unsafe.Pointer(&n)))
-	}); err != nil || errno != 0 {
-		return math.MaxInt
-	}
-	return int(n)
-}
-
-// awaitDrain waits until the command has read everything the pipe holds
-// or has exited, and returns how many bytes a reader may still take once
-// the write end is closed. That is 0 when the pipe drained, and 0 when the
-// command exited leaving no reader behind, because closing the write end
-// then frees the pipe. A background child of the command that still holds
-// the read end leaves the rest unread for as long as it likes.
-func (s *pipeSink) awaitDrain() int {
-	wait := 50 * time.Microsecond
-	for {
-		if s.Unread() == 0 {
-			return 0
-		}
-		select {
-		case <-s.exited:
-			if !s.hasReader() {
-				return 0
-			}
-			return s.Unread()
-		case <-time.After(wait):
-			wait = min(2*wait, 10*time.Millisecond)
-		}
-	}
-}
-
-// hasReader reports whether the pipe still has a reader. An unanswered
-// poll counts as yes.
-func (s *pipeSink) hasReader() bool {
-	var revents int16
-	var errno syscall.Errno
-	if err := s.rc.Control(func(fd uintptr) {
-		revents, errno = pollRevents(fd, &syscall.Timespec{})
-	}); err != nil || errno != 0 {
-		return true
-	}
-	return revents&pollErr == 0
-}
-
 // exitWithStderrReaders makes an agent whose standard error is a pipe exit
 // as soon as the last reader of that pipe is gone, instead of at its next
 // write there (which raises SIGPIPE anyway). A launcher that dies hard thus
@@ -142,14 +35,23 @@ func exitWithStderrReaders() {
 		return
 	}
 	go func() {
+		// struct pollfd for fd 2 with no requested events: POLLERR is
+		// always reported, and on a pipe's write end it means no reader
+		// is left.
+		const pollErr = 0x8
+		pfd := struct {
+			fd      int32
+			events  int16
+			revents int16
+		}{fd: 2}
 		for {
-			revents, errno := pollRevents(2, nil)
+			_, _, errno := syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&pfd)), 1, 0, 0, 0, 0)
 			switch {
 			case errno == syscall.EINTR:
 				continue
 			case errno != 0:
 				return
-			case revents&pollErr != 0:
+			case pfd.revents&pollErr != 0:
 				os.Exit(1)
 			default:
 				return // POLLNVAL: fd 2 is no longer open
@@ -157,5 +59,3 @@ func exitWithStderrReaders() {
 		}
 	}()
 }
-
-var _ core.RefSink = (*pipeSink)(nil)

@@ -12,8 +12,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -46,8 +44,8 @@ func pipeSize(t *testing.T, f *os.File) int {
 }
 
 // TestSinkPipeHoldsChunk: a command sink's pipe holds one whole chunk, up to
-// the kernel's default pipe-max-size, and still delivers every byte, copied
-// or vmspliced, before the closer returns.
+// the kernel's default pipe-max-size, and still delivers every byte before
+// the closer returns.
 func TestSinkPipeHoldsChunk(t *testing.T) {
 	for _, tc := range []struct{ chunk, lo, hi int }{
 		{256 << 10, 256 << 10, maxSinkPipe},
@@ -58,35 +56,23 @@ func TestSinkPipeHoldsChunk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := w.(*pipeSink)
+		f, ok := w.(*os.File)
 		if !ok {
 			closeSink()
-			t.Fatalf("command sink is a %T, want *pipeSink", w)
+			t.Fatalf("command sink is a %T, want *os.File", w)
 		}
-		if n := pipeSize(t, s.w); n < tc.lo || n > tc.hi {
+		var _ core.PipeSink = f // so that nodes may splice into it
+		if n := pipeSize(t, f); n < tc.lo || n > tc.hi {
 			closeSink()
 			t.Fatalf("chunk %d: pipe holds %d bytes, want %d to %d", tc.chunk, n, tc.lo, tc.hi)
 		}
 		payload := make([]byte, 3<<20+17)
 		iolimit.NewPattern(int64(len(payload)), 3).Read(payload)
-		half := len(payload) / 2
-		if _, err := s.Write(payload[:half]); err != nil {
+		if _, err := w.Write(payload); err != nil {
 			closeSink()
 			t.Fatal(err)
 		}
-		for p := payload[half:]; len(p) > 0; {
-			n := min(len(p), tc.chunk)
-			if err := s.WriteRef(p[:n]); err != nil {
-				closeSink()
-				t.Fatal(err)
-			}
-			p = p[n:]
-		}
 		closeSink() // must wait for cat to finish writing out
-		closeSink() // and do nothing the second time
-		if n := s.Unread(); n != 0 {
-			t.Fatalf("chunk %d: %d bytes unread after close", tc.chunk, n)
-		}
 		got, err := os.ReadFile(out)
 		if err != nil {
 			t.Fatal(err)
@@ -94,52 +80,6 @@ func TestSinkPipeHoldsChunk(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("chunk %d: sink wrote %d bytes, want the %d sent", tc.chunk, len(got), len(payload))
 		}
-	}
-}
-
-// TestSinkPipeUnreadTracksReader: Unread counts the vmspliced bytes the
-// command has not read, and a background child that keeps the pipe past
-// the command's exit leaves them counted after Close, so the node keeps
-// their buffers.
-func TestSinkPipeUnreadTracksReader(t *testing.T) {
-	dir := t.TempDir()
-	release := filepath.Join(dir, "release")
-	out := filepath.Join(dir, "out")
-	// The shell exits at once; its background child holds the read end and
-	// reads once the release file exists, or after 5 s whatever happens.
-	cmd := fmt.Sprintf("exec 3<&0; (i=0; while [ ! -e %s ] && [ $i -lt 500 ]; do sleep 0.01; i=$((i+1)); done; cat > %s) <&3 &", release, out)
-	w, closeSink, err := openSink(sinkSpec{Command: cmd}, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := w.(*pipeSink)
-	payload := make([]byte, 40<<10)
-	iolimit.NewPattern(int64(len(payload)), 5).Read(payload)
-	if err := s.WriteRef(payload); err != nil {
-		closeSink()
-		t.Fatal(err)
-	}
-	if n := s.Unread(); n != len(payload) {
-		closeSink()
-		t.Fatalf("Unread = %d before any read, want %d", n, len(payload))
-	}
-	closeSink() // returns once the shell exited, the child still holding the pipe
-	if n := s.Unread(); n != len(payload) {
-		t.Fatalf("Unread = %d after close with a reader left, want %d", n, len(payload))
-	}
-	if err := os.WriteFile(release, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got, _ := os.ReadFile(out)
-		if bytes.Equal(got, payload) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background reader wrote %d of %d bytes", len(got), len(payload))
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -169,53 +109,150 @@ func TestSinkCommandEarlyExitAbandons(t *testing.T) {
 	}
 }
 
-// refCountingSink counts the bytes a pipe sink takes by reference.
-type refCountingSink struct {
-	*pipeSink
-	refBytes atomic.Int64
+// spliceStdinEnv, when set to a directory, turns the test binary into a -O
+// command that splices the first spliceHoldBytes of its standard input into
+// a pipe of its own and reads the rest. Once its input has ended it creates
+// "spliced" in that directory, waits for "go" there, and then writes the
+// held bytes and the rest, in order, to "out".
+const spliceStdinEnv = "KASCADE_TEST_SPLICE_STDIN"
+
+const spliceHoldBytes = 256 << 10
+
+func init() {
+	if dir := os.Getenv(spliceStdinEnv); dir != "" {
+		if err := spliceStdin(dir); err != nil {
+			fmt.Fprintln(os.Stderr, "splice helper:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
 }
 
-func (s *refCountingSink) WriteRef(p []byte) error {
-	s.refBytes.Add(int64(len(p)))
-	return s.pipeSink.WriteRef(p)
-}
-
-// TestJoinerSinkCopies: a late joiner's -O sink takes the copying path (its
-// catch-up serializer writes out of order-bound spill buffers), while the
-// member it joins vmsplices; both commands receive the payload intact.
-func TestJoinerSinkCopies(t *testing.T) {
-	var mu sync.Mutex
-	sinks := map[string]*refCountingSink{}
-	setup := func(a *agent) {
-		a.openSink = func(spec sinkSpec, chunkSize int) (io.Writer, func(), error) {
-			w, closeW, err := openSink(spec, chunkSize)
-			if ps, ok := w.(*pipeSink); ok {
-				rs := &refCountingSink{pipeSink: ps}
-				mu.Lock()
-				sinks[spec.Command] = rs
-				mu.Unlock()
-				return rs, closeW, err
-			}
-			return w, closeW, err
+func spliceStdin(dir string) error {
+	var hold [2]int
+	if err := syscall.Pipe2(hold[:], syscall.O_CLOEXEC); err != nil {
+		return err
+	}
+	_, _, _ = syscall.Syscall(syscall.SYS_FCNTL, uintptr(hold[1]), fSetPipeSize, 1<<20)
+	held := 0
+	for held < spliceHoldBytes {
+		n, err := syscall.Splice(0, nil, hold[1], nil, spliceHoldBytes-held, 0)
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("splice: %w", err)
+		}
+		if n == 0 {
+			break
+		}
+		held += int(n)
+	}
+	rest, err := io.ReadAll(os.Stdin)
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(dir, "spliced"), nil, 0o644); err != nil {
+		return err
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := os.Stat(filepath.Join(dir, "go")); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			return errors.New("never told to go")
 		}
 	}
+	out, err := os.Create(filepath.Join(dir, "out"))
+	if err != nil {
+		return err
+	}
+	defer out.Close()
+	if _, err := io.CopyN(out, os.NewFile(uintptr(hold[0]), "hold"), int64(held)); err != nil {
+		return err
+	}
+	_, err = out.Write(rest)
+	return err
+}
+
+// TestSinkCommandSplicingStdinGetsPayload: a -O command that splices its
+// input onward into a pipe of its own, and reads that pipe only after its
+// session is over and later broadcasts through the same agent have reused
+// the buffers, still receives the payload intact. The pipe the agent feeds
+// must never refer to memory that the agent recycles.
+func TestSinkCommandSplicingStdinGetsPayload(t *testing.T) {
+	_, addr := startTestAgent(t, core.EngineOptions{}, 0)
+	client, err := control.Dial(addr, 5*time.Second, control.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
 	dir := t.TempDir()
-	outA := filepath.Join(dir, "receiver")
-	outB := filepath.Join(dir, "joiner")
-	cmdA, cmdB := "cat > "+outA, "cat > "+outB
-	joinLiveBroadcast(t, sinkSpec{Command: cmdA}, sinkSpec{Command: cmdB}, setup)
-	checkSinkFiles(t, map[string]string{"receiver": outA, "joiner": outB}, joinPayload())
-	mu.Lock()
-	defer mu.Unlock()
-	if sinks[cmdA] == nil || sinks[cmdB] == nil {
-		t.Fatalf("sinks opened: %v", sinks)
+	payload := make([]byte, 2<<20)
+	iolimit.NewPattern(int64(len(payload)), 21).Read(payload)
+	helper := fmt.Sprintf("%s='%s' exec '%s'", spliceStdinEnv, dir, os.Args[0])
+	type result struct {
+		res *control.ResultReply
+		err error
 	}
-	if n := sinks[cmdA].refBytes.Load(); n == 0 {
-		t.Error("the member's sink took nothing by reference")
+	done := make(chan result, 1)
+	go func() {
+		_, res, err := broadcastThrough(ctx, client, 31, payload, sinkSpec{Command: helper})
+		done <- result{res, err}
+	}()
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "spliced")); err == nil {
+			break
+		}
+		select {
+		case r := <-done:
+			t.Fatalf("session ended before the command held its input: %+v", r)
+		case <-ctx.Done():
+			t.Fatal("the command never held its input")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	if n := sinks[cmdB].refBytes.Load(); n != 0 {
-		t.Errorf("the joiner's sink took %d bytes by reference, want the copying path", n)
+	for i := range 3 {
+		other := make([]byte, 2<<20)
+		iolimit.NewPattern(int64(len(other)), uint64(100+i)).Read(other)
+		sid := core.SessionID(32 + i)
+		if err := runSessionThrough(ctx, client, sid, other, filepath.Join(dir, fmt.Sprint("churn", i))); err != nil {
+			t.Fatalf("session %d: %v", sid, err)
+		}
 	}
+	if err := os.WriteFile(filepath.Join(dir, "go"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.res.Err != "" {
+		t.Fatalf("agent result: %s", r.res.Err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := firstDiff(got, payload); i >= 0 {
+		t.Fatalf("the command received %d bytes, want %d; first difference at byte %d", len(got), len(payload), i)
+	}
+}
+
+// firstDiff returns the first offset at which a and b differ, or -1.
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
 }
 
 // execTestAgent re-executes the test binary as an agent with the given

@@ -10,7 +10,3 @@ func setPipeSize(*os.File, int) {}
 // exitWithStderrReaders is a no-op where standard error cannot be watched
 // for its readers; the agent then dies at its next write there.
 func exitWithStderrReaders() {}
-
-// awaitDrain has nothing to wait for where the sink only copies: the
-// command owns every byte written to its pipe.
-func (s *pipeSink) awaitDrain() int { return 0 }

@@ -113,7 +113,7 @@ func TestRelayPathAllocs(t *testing.T) {
 			t.Fatalf("frame type %v, %v", typ, err)
 		}
 		in.setReadDeadlineIn(opts.UpstreamIdleTimeout)
-		c, err := in.readData(pool)
+		c, err := in.readData(pool, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,8 +44,7 @@ func (n *Node) readInput() {
 
 // ingest stores and sinks one received chunk, consuming the caller's
 // reference. The payload is shared, never copied: the window store takes
-// one reference, and a second keeps the bytes alive for the sink write,
-// or, for a RefSink, until the sink has read them.
+// one reference, and a second keeps the bytes alive for the sink write.
 //
 // A chain relay forwards cut-through. When the chunk woke exactly one
 // consumer parked in ChunkAt, that consumer is the relay's idle
@@ -67,23 +66,17 @@ func (n *Node) ingest(c *chunk) error {
 		return err
 	}
 	var sinkErr error
-	switch {
-	case n.refs != nil:
-		// The ledger keeps the second reference until the sink has read
-		// the chunk.
-		sinkErr = n.refs.write(c)
-	case n.joinSt != nil:
+	if n.joinSt != nil {
 		// Late joiner: the sink only sees contiguous prefixes, so live
 		// chunks route through the catch-up serializer (backlogged until
 		// the backfill reaches parity, written through afterwards).
 		sinkErr = n.joinSt.live(c.bytes())
-		c.release()
-	default:
-		if n.cfg.Sink != nil {
-			_, sinkErr = n.cfg.Sink.Write(c.bytes())
-		}
-		c.release()
+	} else if n.stage != nil {
+		sinkErr = n.stage.deliver(c.bytes())
+	} else if n.cfg.Sink != nil {
+		_, sinkErr = n.cfg.Sink.Write(c.bytes())
 	}
+	c.release()
 	if sinkErr != nil {
 		n.abandon(fmt.Sprintf("sink write failed: %v", sinkErr))
 		return ErrAbandoned

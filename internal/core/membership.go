@@ -724,7 +724,7 @@ func (n *Node) fetchRange(ctx context.Context, from, to uint64) error {
 		}
 		switch typ {
 		case MsgData:
-			ck, err := w.readData(n.pool)
+			ck, err := w.readData(n.pool, nil)
 			if err != nil {
 				return err
 			}

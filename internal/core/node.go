@@ -70,7 +70,7 @@ type NodeConfig struct {
 	Engine *Engine
 	// Sink receives the broadcast payload locally; nil discards it.
 	// Only meaningful for receivers (Index > 0). A Sink that is also a
-	// RefSink takes chunks by reference and is closed by Run.
+	// PipeSink may be fed without a copy.
 	Sink io.Writer
 
 	// Trace observes this node's recovery-path state transitions (failure
@@ -126,7 +126,7 @@ type Node struct {
 	basePeers int
 	closing   bool       // node 0: ring is closing, no further joins
 	joinSt    *joinState // late joiner only: catch-up / backlog state
-	refs      *sinkRefs  // chunks a RefSink still refers to (nil: copying sink)
+	stage     *sinkStage // receiver with a PipeSink: payloads staged for it
 
 	mu            sync.Mutex
 	detected      []Failure
@@ -255,8 +255,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		occ := append([]int32(nil), g.Occupants...)
 		n.view.Store(viewFromOccupants(g.Version, occ))
 		n.joinSt = newJoinState(cfg.Sink, g.Head, int64(opts.PoolReservation()), opts.ChunkSize)
-	} else if rs, ok := cfg.Sink.(RefSink); ok && cfg.Index > 0 {
-		n.refs = &sinkRefs{sink: rs}
+	} else if cfg.Index > 0 {
+		n.stage = newSinkStage(cfg.Sink, opts.ChunkSize)
 	}
 	if cfg.Index == 0 {
 		// The sender originates the report chain: its own report is
@@ -418,11 +418,7 @@ func (n *Node) Run(ctx context.Context) (*Report, error) {
 		detail = err.Error()
 	}
 	n.emit(TraceFinished, -1, n.bytesIn.Load(), detail)
-	if n.refs != nil {
-		// The ingest goroutine has ended; no buffer may reach the arena
-		// while the sink can still read it.
-		n.refs.close()
-	}
+	n.stage.close() // the ingest goroutine has ended
 	n.recycle()
 	return rep, err
 }

@@ -188,7 +188,7 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 		w.setReadDeadlineIn(n.opts.UpstreamIdleTimeout)
 		switch typ {
 		case MsgData:
-			c, err := w.readData(n.pool)
+			c, err := w.readData(n.pool, n.stage)
 			if err != nil {
 				return nil, nil
 			}
@@ -355,7 +355,7 @@ func (n *Node) fetchGapOnce(from, to uint64) error {
 		}
 		switch typ {
 		case MsgData:
-			c, err := w.readData(n.pool)
+			c, err := w.readData(n.pool, n.stage)
 			if err != nil {
 				return err
 			}

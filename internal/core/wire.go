@@ -241,8 +241,9 @@ func (w *wire) readHelloAny() (Role, int, SessionID, error) {
 // readData reads a DATA payload (after the type byte) straight into a
 // buffer owned by pool and returns the chunk with one reference, which the
 // caller owns (a nil pool serves one-off buffers). There is no intermediate
-// copy: the bytes land in the buffer that the window store will retain.
-func (w *wire) readData(pool *chunkPool) (*chunk, error) {
+// copy: the bytes land in the buffer that the window store will retain. A
+// non-nil stage also keeps them staged for the node's pipe sink.
+func (w *wire) readData(pool *chunkPool, stage *sinkStage) (*chunk, error) {
 	size, err := w.readUint32()
 	if err != nil {
 		return nil, err
@@ -251,7 +252,7 @@ func (w *wire) readData(pool *chunkPool) (*chunk, error) {
 		return nil, fmt.Errorf("kascade: DATA frame of %d bytes exceeds limit", size)
 	}
 	c := pool.get(int(size))
-	if err := w.readFull(c.bytes()); err != nil {
+	if err := stage.fill(w, c.bytes()); err != nil {
 		c.release()
 		return nil, err
 	}

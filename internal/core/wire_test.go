@@ -103,7 +103,7 @@ func TestWireDataRoundTripQuick(t *testing.T) {
 		if err != nil || typ != MsgData {
 			return false
 		}
-		got, err := w.readData(nil)
+		got, err := w.readData(nil, nil)
 		if err != nil {
 			return false
 		}
@@ -153,7 +153,7 @@ func TestWireRejectsOversizedData(t *testing.T) {
 	if typ, _ := w.readType(); typ != MsgData {
 		t.Fatal("setup failed")
 	}
-	if _, err := w.readData(nil); err == nil {
+	if _, err := w.readData(nil, nil); err == nil {
 		t.Fatal("oversized DATA accepted")
 	}
 }

@@ -80,6 +80,16 @@ func (t tcpConn) WriteBuffers(bufs [][]byte) (int64, error) {
 	return n, mapTCPErr(err)
 }
 
+// SyscallConn exposes the socket, so that a receiver can splice(2) payloads
+// straight out of it (see core.PipeSink).
+func (t tcpConn) SyscallConn() (syscall.RawConn, error) {
+	sc, ok := t.c.(syscall.Conn)
+	if !ok {
+		return nil, errors.ErrUnsupported
+	}
+	return sc.SyscallConn()
+}
+
 func (t tcpConn) Close() error                        { return t.c.Close() }
 func (t tcpConn) SetDeadline(tm time.Time) error      { return t.c.SetDeadline(tm) }
 func (t tcpConn) SetReadDeadline(tm time.Time) error  { return t.c.SetReadDeadline(tm) }
