@@ -13,12 +13,21 @@ import (
 
 // asAgentEnv, when set in its environment, turns the test binary into a
 // `kascade agent` on loopback ports, so tests can run a real agent process.
-const asAgentEnv = "KASCADE_TEST_AS_AGENT"
+// asRootEnv turns it into the sender, `kascade` with the binary's
+// arguments.
+const (
+	asAgentEnv = "KASCADE_TEST_AS_AGENT"
+	asRootEnv  = "KASCADE_TEST_AS_ROOT"
+)
 
 func TestMain(m *testing.M) {
 	if os.Getenv(asAgentEnv) == "1" {
 		agentMain([]string{"-listen", "127.0.0.1:0", "-data", "127.0.0.1:0"})
 		return
+	}
+	if os.Getenv(asRootEnv) == "1" {
+		rootMain(os.Args[1:])
+		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }

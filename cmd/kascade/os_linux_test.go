@@ -85,7 +85,9 @@ func TestSinkPipeHoldsChunk(t *testing.T) {
 
 // TestSinkCommandEarlyExitAbandons: a -O command that exits after its first
 // byte turns a later write into a sink error, and the agent abandons the
-// session and reports it instead of hanging.
+// session and reports that error instead of hanging. The agent is the
+// chain's tail, so the error comes from the stage that splices payloads
+// into the command's pipe.
 func TestSinkCommandEarlyExitAbandons(t *testing.T) {
 	_, addr := startTestAgent(t, core.EngineOptions{}, 0)
 	client, err := control.Dial(addr, 5*time.Second, control.ClientOptions{})
@@ -103,6 +105,9 @@ func TestSinkCommandEarlyExitAbandons(t *testing.T) {
 	}
 	if res.Err == "" || res.Bytes == uint64(len(payload)) {
 		t.Errorf("agent result: error %q after %d of %d bytes, want a failed session", res.Err, res.Bytes, len(payload))
+	}
+	if !strings.Contains(res.Err, "sink write failed") {
+		t.Errorf("agent result: error %q does not name the sink failure", res.Err)
 	}
 	if !report.Failed(1) {
 		t.Errorf("sender report does not name the agent: %v", report)
@@ -434,5 +439,92 @@ func TestAgentStaysUpWithStderrNotAPipe(t *testing.T) {
 	case err := <-exited:
 		t.Fatalf("agent with stderr on %s exited: %v", os.DevNull, err)
 	case <-time.After(time.Second):
+	}
+}
+
+// TestSourceTruncatedMidBroadcast: the sender's source file shrinks while
+// its pages are being sent from the mapping, with the agents' -O commands
+// holding the chain back. The sender exits with the source's read error,
+// every agent is abandoned through QUIT, no receiver is named failed, and
+// no process dies of a signal.
+func TestSourceTruncatedMidBroadcast(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src")
+	payload := make([]byte, 64<<20)
+	iolimit.NewPattern(int64(len(payload)), 43).Read(payload)
+	if err := os.WriteFile(src, payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var agents []string
+	var pids []int
+	for i := range 3 {
+		log, err := os.Create(filepath.Join(dir, fmt.Sprint("agent", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		pid, _ := execTestAgent(t, log)
+		pids = append(pids, pid)
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			b, _ := os.ReadFile(log.Name())
+			if _, rest, ok := strings.Cut(string(b), "control on "); ok {
+				addr, _, _ := strings.Cut(rest, ",")
+				agents = append(agents, addr)
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("agent %d never printed its banner", i)
+			}
+		}
+	}
+
+	// Each sink takes 1 MiB, then holds its input until "go" exists.
+	held := filepath.Join(dir, "held")
+	sink := fmt.Sprintf("head -c 1048576 > /dev/null; touch '%s'$$; while [ ! -e '%s/go' ]; do sleep 0.01; done; exec cat > /dev/null", held, dir)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	root := exec.CommandContext(ctx, os.Args[0], "-N", strings.Join(agents, ","), "-i", src, "-O", sink)
+	root.Env = append(os.Environ(), asRootEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	root.Stdout, root.Stderr = &stdout, &stderr
+	if err := root.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if m, _ := filepath.Glob(held + "*"); len(m) == len(agents) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the sinks never started holding their input")
+		}
+	}
+	time.Sleep(200 * time.Millisecond) // the sender stalls on the held chain
+	if err := os.Truncate(src, 3<<20+1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "go"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	err := root.Wait()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("sender exit: %v, want status 1\nstderr:\n%s", err, stderr.String())
+	}
+	out := stderr.String()
+	if !strings.Contains(out, "kascade: reading source file at") {
+		t.Errorf("sender's error does not name its source:\n%s", out)
+	}
+	if n := strings.Count(out, "upstream instructed abandon"); n != len(agents) {
+		t.Errorf("%d of %d agents abandoned through QUIT:\n%s", n, len(agents), out)
+	}
+	if !strings.Contains(stdout.String(), "no failures") {
+		t.Errorf("a receiver was named failed: %s", stdout.String())
+	}
+	for i, pid := range pids {
+		if processGone(pid) {
+			t.Errorf("agent %d died", i)
+		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 const poolSlack = 8
 
 type chunkPool struct {
-	size int         // payload capacity of every pooled buffer
-	free chan *chunk // parked, zero-ref chunks
+	size  int          // payload capacity of every pooled buffer
+	free  chan *chunk  // parked, zero-ref chunks
+	drawn atomic.Int64 // buffers taken from the arena so far
 }
 
 func newChunkPool(size, capacity int) *chunkPool {
@@ -44,6 +45,7 @@ func (p *chunkPool) get(n int) *chunk {
 	case c = <-p.free:
 	default:
 		c = &chunk{pool: p, buf: bufpool.Get(p.size)}
+		p.drawn.Add(1)
 	}
 	c.n = n
 	c.refs.Store(1)
@@ -80,9 +82,11 @@ func (p *chunkPool) drain() {
 //   - ChunkAt/TryChunkAt return an extra reference the caller must release.
 //
 // Only the sole owner of a chunk (refs == 1, not yet shared) may mutate its
-// payload or call truncate.
+// payload or call truncate. A view of a mapped source file (src set) is
+// read-only, and only kernel writes may read it (see fileMap).
 type chunk struct {
-	pool *chunkPool // nil for oversize one-off buffers
+	pool *chunkPool // nil for oversize one-off buffers and views
+	src  *fileMap   // a view's mapping, held until the last release
 	refs atomic.Int32
 	buf  []byte // full backing array
 	n    int    // payload length
@@ -98,12 +102,17 @@ func (c *chunk) retain() *chunk {
 }
 
 // release drops one reference; the last release parks the buffer back in
-// its pool (or leaves it to the GC for one-off and overflow chunks).
+// its pool (or leaves it to the GC for one-off and overflow chunks), or
+// lets a view's mapping go.
 func (c *chunk) release() {
 	if n := c.refs.Add(-1); n > 0 {
 		return
 	} else if n < 0 {
 		panic("kascade: chunk released more times than retained")
+	}
+	if c.src != nil {
+		c.src.release()
+		return
 	}
 	if c.pool == nil {
 		return

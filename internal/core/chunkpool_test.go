@@ -117,7 +117,7 @@ func TestRelayPathAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.ingest(c); err != nil {
+		if err := n.ingest(c, len(c.bytes())); err != nil {
 			t.Fatal(err)
 		}
 		batch, batchBytes, err := n.nextBatch(off, scratch[:0])

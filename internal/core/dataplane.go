@@ -42,9 +42,29 @@ func (n *Node) readInput() {
 	}
 }
 
-// ingest stores and sinks one received chunk, consuming the caller's
-// reference. The payload is shared, never copied: the window store takes
-// one reference, and a second keeps the bytes alive for the sink write.
+// readData reads the DATA payload that follows on w. It comes back in a
+// chunk, except at a leaf whose stage took it whole into its pipe: then c
+// is nil and only its size is known.
+func (n *Node) readData(w *wire) (c *chunk, size int, err error) {
+	if !n.leaf || n.stage == nil {
+		c, err = w.readData(n.pool, n.stage)
+		if err != nil {
+			return nil, 0, err
+		}
+		return c, len(c.bytes()), nil
+	}
+	if size, err = w.readDataSize(); err != nil {
+		return nil, 0, err
+	}
+	c, err = n.stage.take(w, n.pool, size)
+	return c, size, err
+}
+
+// ingest stores and sinks one received payload of size bytes, consuming
+// the caller's reference to c. The payload is shared, never copied: the
+// window store takes one reference, and a second keeps the bytes alive for
+// the sink write. A nil c is a leaf's payload held whole by its stage,
+// which moves it into the sink.
 //
 // A chain relay forwards cut-through. When the chunk woke exactly one
 // consumer parked in ChunkAt, that consumer is the relay's idle
@@ -57,8 +77,13 @@ func (n *Node) readInput() {
 // does not yield: a tree already keeps the cores busy, and per-chunk
 // trips through the run queue only cost it CPU. Engine-attached sessions
 // forward through the scheduler and never park in ChunkAt.
-func (n *Node) ingest(c *chunk) error {
-	size := uint64(len(c.bytes()))
+func (n *Node) ingest(c *chunk, size int) error {
+	if c == nil {
+		if err := n.ws.tally(uint64(size)); err != nil {
+			return err
+		}
+		return n.sunk(size, 0, n.stage.flush())
+	}
 	c.retain() // keep the payload readable for the sink after Append
 	woken, err := n.ws.Append(c)
 	if err != nil {
@@ -77,11 +102,15 @@ func (n *Node) ingest(c *chunk) error {
 		_, sinkErr = n.cfg.Sink.Write(c.bytes())
 	}
 	c.release()
+	return n.sunk(size, woken, sinkErr)
+}
+
+// sunk ends the ingest of size bytes whose sink write returned sinkErr.
+func (n *Node) sunk(size, woken int, sinkErr error) error {
 	if sinkErr != nil {
-		n.abandon(fmt.Sprintf("sink write failed: %v", sinkErr))
-		return ErrAbandoned
+		return n.abandon(fmt.Sprintf("sink write failed: %v", sinkErr))
 	}
-	n.emit(TraceChunk, -1, n.bytesIn.Add(size), "")
+	n.emit(TraceChunk, -1, n.bytesIn.Add(uint64(size)), "")
 	if woken == 1 {
 		runtime.Gosched()
 	}

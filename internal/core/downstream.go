@@ -168,6 +168,13 @@ func (n *Node) serveSuccessor(ctx context.Context, succ int, cur *childCursor, q
 streamLoop:
 	for {
 		if cerr := ctx.Err(); cerr != nil {
+			if errors.Is(n.st.AbortCause(), ErrAbandoned) {
+				// The node abandoned and shut itself down while this
+				// batch was in flight: the successor still has to hear
+				// it, or it waits out UpstreamIdleTimeout for a
+				// predecessor that never comes.
+				_ = w.writeQuit(QuitAbandon)
+			}
 			return outcomeTerminal, cerr
 		}
 		if n.rerank {
@@ -188,6 +195,12 @@ streamLoop:
 			busy := n.clk.Now().Sub(wStart)
 			release(batch)
 			if werr != nil {
+				if fs, ok := n.st.(*fileStore); ok && fs.faulted(werr) {
+					// The source file shrank under the write. The store is
+					// aborted now, and the redial's GET meets the abort and
+					// sends QUIT, which this connection's cut frame cannot.
+					return outcomeRetry, nil
+				}
 				return n.classifyConnErr(ctx, werr, succ, peer.Addr, quiet)
 			}
 			off += uint64(batchBytes)

@@ -128,6 +128,13 @@ type Node struct {
 	joinSt    *joinState // late joiner only: catch-up / backlog state
 	stage     *sinkStage // receiver with a PipeSink: payloads staged for it
 
+	// leaf marks a receiver that the plan can never give a successor: the
+	// chain's tail or a static tree's leaf, in a session that does not
+	// re-rank (and so admits no joiners). Only a dead node's parent adopts
+	// its children and only node 0 answers PGET, so nothing ever replays
+	// from a leaf: it keeps no window, only its byte count.
+	leaf bool
+
 	mu            sync.Mutex
 	detected      []Failure
 	upReport      *Report
@@ -256,6 +263,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n.view.Store(viewFromOccupants(g.Version, occ))
 		n.joinSt = newJoinState(cfg.Sink, g.Head, int64(opts.PoolReservation()), opts.ChunkSize)
 	} else if cfg.Index > 0 {
+		n.leaf = !n.rerank && len(treeChildren(cfg.Index, treeK, len(cfg.Plan.Peers))) == 0
 		n.stage = newSinkStage(cfg.Sink, opts.ChunkSize)
 	}
 	if cfg.Index == 0 {
@@ -282,9 +290,20 @@ func (n *Node) prepare() error {
 		n.pool = newChunkPool(n.opts.ChunkSize, n.opts.PoolChunks)
 	}
 	if n.cfg.Index == 0 && n.cfg.InputFile != nil {
-		n.st = newFileStore(n.cfg.InputFile, n.cfg.InputSize, n.opts.ChunkSize, n.pool)
+		fs := newFileStore(n.cfg.InputFile, n.cfg.InputSize, n.opts.ChunkSize, n.pool)
+		if _, ok := n.cfg.Network.(transport.TCP); ok {
+			// Views of a mapped file go only to kernel writes. Over an
+			// in-memory network Go code would copy them, and a file that
+			// shrank under that copy would kill the process with SIGBUS.
+			fs.fm = mapFile(n.cfg.InputFile, n.cfg.InputSize)
+		}
+		n.st = fs
 	} else {
-		n.ws = newWindowStore(n.opts.ChunkSize, n.opts.WindowChunks, n.pool)
+		window := n.opts.WindowChunks
+		if n.leaf {
+			window = 0
+		}
+		n.ws = newWindowStore(n.opts.ChunkSize, window, n.pool)
 		n.st = n.ws
 		if g := n.cfg.Join; g != nil {
 			// A late joiner's live window starts at the catch-up boundary:
@@ -294,7 +313,7 @@ func (n *Node) prepare() error {
 		}
 	}
 	if n.cfg.Engine != nil {
-		if n.treeK == 1 {
+		if n.treeK == 1 && !n.leaf {
 			// Engine-attached nodes forward through the engine's weighted
 			// scheduler (sched.go) instead of a free-running goroutine per
 			// session: the seat is taken before attach so the first inbound
@@ -425,12 +444,15 @@ func (n *Node) Run(ctx context.Context) (*Report, error) {
 
 // recycle hands the node's payload buffers back to the cross-session
 // arena: first the ring slots the replay window still holds, then the
-// pool's parked free list. Runs strictly after detach — no new connection
-// can be routed here — and the store poisons itself so an in-flight PGET
-// server errors out instead of touching recycled memory.
+// pool's parked free list. A file store lets its mapping go instead, once
+// no view is left. Runs strictly after detach — no new connection can be
+// routed here — and the store poisons itself so an in-flight PGET server
+// errors out instead of touching recycled memory.
 func (n *Node) recycle() {
 	if n.ws != nil {
 		n.ws.recycle()
+	} else if fs, ok := n.st.(*fileStore); ok {
+		fs.close()
 	}
 	n.pool.drain()
 }
@@ -494,9 +516,14 @@ func (n *Node) run(ctx context.Context) (*Report, error) {
 
 	mgrErr := n.runManager(ictx)
 	if mgrErr != nil {
+		shut := ictx.Err() != nil
 		n.shutdown(mgrErr)
 		if n.cfg.Index > 0 {
-			<-upErrC
+			if upErr := <-upErrC; upErr != nil && (shut || errors.Is(mgrErr, ErrAbandoned)) {
+				// The upstream loop failed first: it shut the node down, or
+				// abandoned, and the manager only saw the consequence.
+				mgrErr = upErr
+			}
 		}
 		return n.snapshotReport(), mgrErr
 	}

@@ -188,11 +188,11 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 		w.setReadDeadlineIn(n.opts.UpstreamIdleTimeout)
 		switch typ {
 		case MsgData:
-			c, err := w.readData(n.pool, n.stage)
+			c, size, err := n.readData(w)
 			if err != nil {
 				return nil, nil
 			}
-			if err := n.ingest(c); err != nil {
+			if err := n.ingest(c, size); err != nil {
 				return nil, err
 			}
 		case MsgEnd:
@@ -219,8 +219,7 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 				n.stepAside("excluded by predecessor for low throughput")
 				return nil, ErrExcluded
 			default:
-				n.abandon("upstream instructed abandon")
-				return nil, ErrAbandoned
+				return nil, n.abandon("upstream instructed abandon")
 			}
 		case MsgForget:
 			base, err := w.readUint64()
@@ -228,8 +227,7 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 				return nil, nil
 			}
 			if err := n.fetchGap(ctx, n.st.Head(), base); err != nil {
-				n.abandon(fmt.Sprintf("gap [%d,%d) unrecoverable: %v", n.st.Head(), base, err))
-				return nil, ErrAbandoned
+				return nil, n.abandon(fmt.Sprintf("gap [%d,%d) unrecoverable: %v", n.st.Head(), base, err))
 			}
 			w.setWriteDeadlineIn(n.opts.GetTimeout)
 			if err := w.writeGet(n.st.Head()); err != nil {
@@ -355,11 +353,11 @@ func (n *Node) fetchGapOnce(from, to uint64) error {
 		}
 		switch typ {
 		case MsgData:
-			c, err := w.readData(n.pool, n.stage)
+			c, size, err := n.readData(w)
 			if err != nil {
 				return err
 			}
-			if err := n.ingest(c); err != nil {
+			if err := n.ingest(c, size); err != nil {
 				return err
 			}
 		case MsgEnd:
@@ -382,21 +380,23 @@ func (n *Node) fetchGapOnce(from, to uint64) error {
 // abandon marks the node as failed-by-loss: it stops answering pings
 // (detached from its listener or engine) so its predecessor skips it, and
 // poisons the store so the downstream manager sends QUIT(abandon) to the
-// successor.
-func (n *Node) abandon(reason string) {
+// successor. It returns ErrAbandoned with the first reason given.
+func (n *Node) abandon(reason string) error {
 	n.mu.Lock()
 	already := n.abandoned
 	n.abandoned = true
 	if !already {
 		n.abandonReason = reason
 	}
+	err := fmt.Errorf("%w: %s", ErrAbandoned, n.abandonReason)
 	n.mu.Unlock()
 	if already {
-		return
+		return err
 	}
 	n.emit(TraceAbandoned, -1, n.bytesIn.Load(), reason)
 	n.detach()
-	n.st.Abort(ErrAbandoned)
+	n.st.Abort(err)
+	return err
 }
 
 // stepAside retires an excluded node: detached from its accept path (pings

@@ -8,9 +8,12 @@ import (
 	"syscall"
 )
 
-// fSetPipeSize is fcntl's F_SETPIPE_SZ (F_LINUX_SPECIFIC_BASE + 7, the same
-// on every Linux architecture).
-const fSetPipeSize = 1031
+// fSetPipeSize and fGetPipeSize are fcntl's F_SETPIPE_SZ and F_GETPIPE_SZ
+// (F_LINUX_SPECIFIC_BASE + 7 and + 8, the same on every Linux architecture).
+const (
+	fSetPipeSize = 1031
+	fGetPipeSize = 1032
+)
 
 // spliceFNonblock is SPLICE_F_NONBLOCK, the same on every Linux
 // architecture. splice(2) and tee(2) honour it on the pipe side whatever
@@ -24,18 +27,24 @@ const maxStagePipe = 1 << 20
 // sinkStage feeds a PipeSink by reference (see PipeSink). Only the
 // goroutine that reads the upstream and ingests touches it, and Run closes
 // it after that goroutine has ended.
+//
+// A relay's stage (fill, deliver) keeps a copy of each payload in the
+// chunk its window needs. A leaf keeps no window, so its stage (take,
+// flush) moves the whole payload from the socket into out and on into the
+// sink without reading it at all.
 type sinkStage struct {
 	sink     io.Writer
 	sinkConn syscall.RawConn // the sink pipe's write end
 	pipeSize int             // capacity asked for each stage pipe
+	room     int             // capacity out got, once open
 
 	// in carries the bytes of one splice from the socket until they are
-	// teed into out and read into the chunk; out keeps the chunk's staged
-	// prefix until deliver moves it to the sink. Both are [read, write]
-	// descriptor pairs, -1 while closed.
+	// moved or teed into out (and, at a relay, read into the chunk); out
+	// keeps the payload's staged prefix until it moves to the sink. Both
+	// are [read, write] descriptor pairs, -1 while closed.
 	in, out [2]int
-	staged  int    // bytes at the front of the last filled chunk held in out
-	owner   *byte  // first byte of that chunk
+	staged  int    // bytes at the front of the last payload held in out
+	owner   *byte  // first byte of that payload's chunk (nil at a leaf)
 	moved   uint64 // bytes delivered by reference so far
 }
 
@@ -83,12 +92,8 @@ func (s *sinkStage) fill(w *wire, p []byte) error {
 		return w.readFull(p)
 	}
 	s.drop()
-	sc, ok := w.conn.(syscall.Conn)
-	if !ok || len(p) == 0 {
-		return w.readFull(p)
-	}
-	rc, err := sc.SyscallConn()
-	if err != nil || s.open() != nil {
+	rc := s.socket(w)
+	if rc == nil || len(p) == 0 {
 		return w.readFull(p)
 	}
 	// The wire's read buffer may already hold the payload's first bytes;
@@ -124,19 +129,104 @@ func (s *sinkStage) fill(w *wire, p []byte) error {
 	return nil
 }
 
+// take reads a leaf's DATA payload of size bytes from w. When w's
+// connection is a kernel socket and out can hold the payload, all of it
+// stays in out for flush, and take returns a nil chunk: only the bytes the
+// wire had already buffered are copied, from the wire's own buffer.
+// Otherwise the payload comes back in a chunk from pool, as readData would
+// return it. Bytes staged for an earlier payload that never reached the
+// sink are dropped first.
+func (s *sinkStage) take(w *wire, pool *chunkPool, size int) (*chunk, error) {
+	s.drop()
+	rc := s.socket(w)
+	if rc == nil || size > s.room {
+		c := pool.get(size)
+		if err := s.fill(w, c.bytes()); err != nil {
+			c.release()
+			return nil, err
+		}
+		return c, nil
+	}
+	if b := min(w.br.Buffered(), size); b > 0 {
+		head, _ := w.br.Peek(b)
+		n, err := syscall.Write(s.out[1], head)
+		if err != nil {
+			n = 0
+		}
+		s.staged = n
+		_, _ = w.br.Discard(n)
+		if n < b {
+			// What out did not take precedes the socket's bytes.
+			return s.spill(w, pool, size, n)
+		}
+	}
+	for s.staged < size {
+		n, err := s.spliceIn(rc, size-s.staged)
+		if err != nil {
+			s.reset()
+			return nil, err
+		}
+		m, err := splice(s.in[0], s.out[1], n)
+		if err != nil && err != syscall.EAGAIN {
+			s.reset()
+			return nil, os.NewSyscallError("splice", err)
+		}
+		read := s.staged + n
+		s.staged += max(m, 0) // -1 with EAGAIN
+		if s.staged < read {
+			// out is full before the payload ends (its socket pages
+			// were small): the payload goes into a chunk after all.
+			return s.spill(w, pool, size, read)
+		}
+	}
+	return nil, nil
+}
+
+// spill moves the payload take has begun into a chunk from pool: the
+// staged bytes from out, the read ones still in in, and the rest from w.
+// The stage is left empty.
+func (s *sinkStage) spill(w *wire, pool *chunkPool, size, read int) (*chunk, error) {
+	c := pool.get(size)
+	p := c.bytes()
+	err := readPipe(s.out[0], p[:s.staged])
+	if err == nil {
+		err = readPipe(s.in[0], p[s.staged:read])
+	}
+	s.staged = 0
+	if err == nil {
+		err = w.readFull(p[read:])
+	}
+	if err != nil {
+		s.reset()
+		c.release()
+		return nil, err
+	}
+	return c, nil
+}
+
+// socket returns the kernel socket behind w's connection with the stage
+// pipes open, or nil when payloads cannot be spliced from it.
+func (s *sinkStage) socket(w *wire) syscall.RawConn {
+	sc, ok := w.conn.(syscall.Conn)
+	if !ok {
+		return nil
+	}
+	rc, err := sc.SyscallConn()
+	if err != nil || s.open() != nil {
+		return nil
+	}
+	return rc
+}
+
 // spliceIn moves up to n bytes from the socket behind rc into the empty
 // pipe in. While the socket has none it waits on the poller, so the wire's
 // read deadline holds.
 func (s *sinkStage) spliceIn(rc syscall.RawConn, n int) (int, error) {
-	var moved int64
+	var moved int
 	var serr error
 	if err := rc.Read(func(fd uintptr) bool {
-		for {
-			moved, serr = syscall.Splice(int(fd), nil, s.in[1], nil, n, spliceFNonblock)
-			if serr != syscall.EINTR {
-				return serr != syscall.EAGAIN
-			}
-		}
+		moved, serr = splice(int(fd), s.in[1], n)
+		return serr != syscall.EAGAIN
 	}); err != nil {
 		return 0, err
 	}
@@ -146,7 +236,18 @@ func (s *sinkStage) spliceIn(rc syscall.RawConn, n int) (int, error) {
 	case moved == 0:
 		return 0, io.ErrUnexpectedEOF
 	}
-	return int(moved), nil
+	return moved, nil
+}
+
+// splice moves up to n bytes from rfd to wfd, one of them a pipe, without
+// blocking on the pipe.
+func splice(rfd, wfd, n int) (int, error) {
+	for {
+		m, err := syscall.Splice(rfd, nil, wfd, nil, n, spliceFNonblock)
+		if err != syscall.EINTR {
+			return int(m), err
+		}
+	}
 }
 
 // readPipe reads exactly len(p) bytes that the pipe fd already holds.
@@ -170,23 +271,30 @@ func readPipe(fd int, p []byte) error {
 // from out into the sink's pipe without a copy, and the rest is copied. A
 // full sink pipe parks the goroutine on the poller, exactly as Write does.
 func (s *sinkStage) deliver(p []byte) error {
-	staged := 0
-	if len(p) > 0 && &p[0] == s.owner {
-		staged = s.staged
-	} else {
+	if len(p) == 0 || &p[0] != s.owner {
 		s.drop()
 	}
+	staged := s.staged
+	if err := s.flush(); err != nil {
+		return err
+	}
+	if staged < len(p) {
+		_, err := s.sink.Write(p[staged:])
+		return err
+	}
+	return nil
+}
+
+// flush moves the staged bytes from out into the sink's pipe.
+func (s *sinkStage) flush() error {
+	staged := s.staged
 	s.staged, s.owner = 0, nil
 	for done := 0; done < staged; {
-		var n int64
+		var n int
 		var serr error
 		err := s.sinkConn.Write(func(fd uintptr) bool {
-			for {
-				n, serr = syscall.Splice(s.out[0], nil, int(fd), nil, staged-done, spliceFNonblock)
-				if serr != syscall.EINTR {
-					return serr != syscall.EAGAIN
-				}
-			}
+			n, serr = splice(s.out[0], int(fd), staged-done)
+			return serr != syscall.EAGAIN
 		})
 		if err == nil && serr != nil {
 			err = os.NewSyscallError("splice", serr)
@@ -195,13 +303,9 @@ func (s *sinkStage) deliver(p []byte) error {
 			s.reset()
 			return err
 		}
-		done += int(n)
+		done += n
 	}
 	s.moved += uint64(staged)
-	if staged < len(p) {
-		_, err := s.sink.Write(p[staged:])
-		return err
-	}
 	return nil
 }
 
@@ -218,6 +322,11 @@ func (s *sinkStage) open() error {
 		}
 		_, _, _ = syscall.Syscall(syscall.SYS_FCNTL, uintptr(p[1]), fSetPipeSize, uintptr(s.pipeSize))
 	}
+	room, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(s.out[1]), fGetPipeSize, 0)
+	if errno != 0 {
+		room = 0
+	}
+	s.room = int(room)
 	return nil
 }
 

@@ -12,4 +12,8 @@ func newSinkStage(io.Writer, int) *sinkStage { return nil }
 
 func (s *sinkStage) fill(w *wire, p []byte) error { return w.readFull(p) }
 func (s *sinkStage) deliver([]byte) error         { panic("kascade: no sink stage on this system") }
-func (s *sinkStage) close()                       {}
+func (s *sinkStage) take(*wire, *chunkPool, int) (*chunk, error) {
+	panic("kascade: no sink stage on this system")
+}
+func (s *sinkStage) flush() error { panic("kascade: no sink stage on this system") }
+func (s *sinkStage) close()       {}

@@ -114,6 +114,10 @@ type store interface {
 // start). ChunkAt hands out an extra reference, so a slow replay to a
 // recovering successor keeps its payload alive even if the slot is evicted
 // and the window moves on underneath it.
+//
+// A store of no chunks keeps only the count: Append releases the chunk at
+// once, and every offset below the head is forgotten. That is the store
+// of a receiver nothing can ever replay from (see Node.leaf).
 type windowStore struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -219,9 +223,10 @@ func (s *windowStore) evictLocked() {
 // landed, all of them woken by it. A store has one appender, so every
 // other parked goroutine is a ChunkAt consumer.
 func (s *windowStore) Append(c *chunk) (woken int, err error) {
-	if len(c.bytes()) == 0 {
+	size := len(c.bytes())
+	if size == 0 || len(s.ring) == 0 {
 		c.release()
-		return 0, nil
+		return 0, s.tally(uint64(size))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -255,11 +260,32 @@ func (s *windowStore) Append(c *chunk) (woken int, err error) {
 	}
 	s.ring[s.slot(s.count)] = c
 	s.count++
-	s.head += uint64(len(c.bytes()))
+	s.head += uint64(size)
 	woken = s.waiters
 	s.wakeLocked()
 	s.maybeNotifyLocked()
 	return woken, nil
+}
+
+// tally counts n more bytes of the stream without keeping them: the whole
+// of Append on a store of no chunks.
+func (s *windowStore) tally(n uint64) error {
+	if n == 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.abort != nil {
+		return s.abort
+	}
+	if s.ended {
+		return fmt.Errorf("kascade: append after end of stream")
+	}
+	s.head += n
+	s.base = s.head
+	s.wakeLocked()
+	s.maybeNotifyLocked()
+	return nil
 }
 
 // AppendBytes copies b into a pooled chunk and appends it. Convenience for
@@ -477,11 +503,17 @@ func (s *windowStore) Base() uint64 {
 // draws between file-backed and streamed sources. Served chunks come from
 // the shared pool; the caller's release after the network write returns
 // the buffer for reuse.
+//
+// A store with a mapping (see mapFile) serves views of the file's mapped
+// pages instead of reading them into pool buffers, so the network write is
+// the only copy node 0 makes. Each view holds the mapping, which is
+// unmapped once close has run and the last view is released.
 type fileStore struct {
 	ra        io.ReaderAt
 	size      uint64
 	chunkSize int
 	pool      *chunkPool
+	fm        *fileMap // set before the first ChunkAt, or nil: read by pread
 
 	mu    sync.Mutex
 	abort error
@@ -505,6 +537,9 @@ func (s *fileStore) ChunkAt(off uint64) (*chunk, error) {
 	if off+n > s.size {
 		n = s.size - off
 	}
+	if s.fm != nil {
+		return s.view(off, n)
+	}
 	c := s.pool.get(int(n))
 	// A reader may legally return io.EOF alongside a full tail read.
 	if nr, err := s.ra.ReadAt(c.bytes(), int64(off)); err != nil && !(err == io.EOF && nr == int(n)) {
@@ -512,6 +547,55 @@ func (s *fileStore) ChunkAt(off uint64) (*chunk, error) {
 		return nil, fmt.Errorf("kascade: reading source file at %d: %w", off, err)
 	}
 	return c, nil
+}
+
+// view returns the n mapped bytes at off. A file that no longer holds them
+// aborts the store with the error a short pread there would give: the
+// mapping would fault on them.
+func (s *fileStore) view(off, n uint64) (*chunk, error) {
+	if s.fm.length() < off+n {
+		return nil, s.shrunk(off)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.abort != nil {
+		return nil, s.abort // close may have released the mapping
+	}
+	return s.fm.view(off, n), nil
+}
+
+// shrunk aborts the store because the source file ended before off's
+// chunk did.
+func (s *fileStore) shrunk(off uint64) error {
+	err := fmt.Errorf("kascade: reading source file at %d: %w", off, io.EOF)
+	s.Abort(err)
+	return s.AbortCause()
+}
+
+// faulted reports whether err is a write that faulted on a view of the
+// mapped file, which happens when the file shrank after the view was
+// taken. The store is then aborted as a short pread at the chunk where
+// the file now ends would have aborted it.
+func (s *fileStore) faulted(err error) bool {
+	if s.fm == nil || !isFault(err) {
+		return false
+	}
+	end := s.fm.length()
+	s.shrunk(end - end%uint64(s.chunkSize))
+	return true
+}
+
+// close ends the store's life: it is poisoned (unless already terminal)
+// and drops its hold on the mapping, which goes once no view is left.
+func (s *fileStore) close() {
+	s.mu.Lock()
+	if s.abort == nil {
+		s.abort = errRecycled
+	}
+	s.mu.Unlock()
+	if s.fm != nil {
+		s.fm.release()
+	}
 }
 
 func (s *fileStore) TryChunkAt(off uint64) (*chunk, bool) {

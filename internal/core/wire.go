@@ -244,19 +244,28 @@ func (w *wire) readHelloAny() (Role, int, SessionID, error) {
 // copy: the bytes land in the buffer that the window store will retain. A
 // non-nil stage also keeps them staged for the node's pipe sink.
 func (w *wire) readData(pool *chunkPool, stage *sinkStage) (*chunk, error) {
-	size, err := w.readUint32()
+	size, err := w.readDataSize()
 	if err != nil {
 		return nil, err
 	}
-	if size > maxFrameData {
-		return nil, fmt.Errorf("kascade: DATA frame of %d bytes exceeds limit", size)
-	}
-	c := pool.get(int(size))
+	c := pool.get(size)
 	if err := stage.fill(w, c.bytes()); err != nil {
 		c.release()
 		return nil, err
 	}
 	return c, nil
+}
+
+// readDataSize reads a DATA payload's length prefix (after the type byte).
+func (w *wire) readDataSize() (int, error) {
+	size, err := w.readUint32()
+	if err != nil {
+		return 0, err
+	}
+	if size > maxFrameData {
+		return 0, fmt.Errorf("kascade: DATA frame of %d bytes exceeds limit", size)
+	}
+	return int(size), nil
 }
 
 // readQuit parses a QUIT payload (after the type byte).
