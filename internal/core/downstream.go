@@ -40,7 +40,7 @@ const maxBatchChunks = 256
 // manager (tree.go); the chain below is the k = 1 special case.
 func (n *Node) runManager(ctx context.Context) error {
 	if n.treeK > 1 {
-		return n.runTreeManager(ctx)
+		return n.runRerankManager(ctx)
 	}
 	succ := n.cfg.Index + 1
 	retries := 0
@@ -388,7 +388,7 @@ func (n *Node) classifyConnErr(ctx context.Context, err error, succ int, addr st
 	if cerr := ctx.Err(); cerr != nil {
 		return outcomeTerminal, cerr
 	}
-	if n.rerank && !n.rerankServes(succ) {
+	if !n.serves(succ) {
 		// The view moved this child away mid-serve: the broken
 		// connection is displacement (or the child finishing under its
 		// new parent), not a crash. Naming it a failure here is the

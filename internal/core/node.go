@@ -109,8 +109,9 @@ type Node struct {
 
 	upConns chan *upstreamConn
 
-	// Self-reorganization state (rerank.go); active only when
-	// Options.Rerank is set on a tree topology.
+	// Self-reorganization state (rerank.go); the view is kept by every
+	// session, the rest is active only when Options.Rerank is set on a
+	// tree topology.
 	rerank   bool
 	view     atomic.Pointer[treeView] // current slot-occupant assignment
 	viewKick chan struct{}            // nudges the re-graft manager on view changes
@@ -246,10 +247,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		passedC:   make(chan struct{}),
 		ringC:     make(chan struct{}),
 	}
+	// Every session keeps a view; a static plan keeps the identity forever.
+	n.view.Store(identityView(len(cfg.Plan.Peers)))
 	if opts.Rerank && treeK > 1 {
 		n.rerank = true
 		n.viewKick = make(chan struct{}, 1)
-		n.view.Store(identityView(len(cfg.Plan.Peers)))
 		if cfg.Index == 0 {
 			n.reorg = newReorganizer(n)
 		}

@@ -115,7 +115,8 @@ func (v *treeView) depthOf(node, k int) int {
 	return treeDepth(int(v.slotOf[node]), k)
 }
 
-// curView returns the node's current view (non-nil iff rerank is on).
+// curView returns the node's current view: the identity, forever, unless
+// the session re-ranks.
 func (n *Node) curView() *treeView { return n.view.Load() }
 
 // installView publishes v if it is newer than the current view and wakes
@@ -249,17 +250,13 @@ func (n *Node) linkStats() (SessionLinkStats, bool) {
 	if len(rates) > 0 {
 		st.MeanRate = sum / float64(len(rates))
 	}
+	v := n.curView()
+	st.Depth = v.depthOf(n.cfg.Index, n.treeK)
 	if n.rerank {
-		v := n.curView()
 		st.ReorgVersion = v.version
-		st.Depth = v.depthOf(n.cfg.Index, n.treeK)
 		if n.reorg != nil {
 			st.Migrations, st.Suppressed = n.reorg.counters()
 		}
-	} else if n.treeK > 1 {
-		st.Depth = treeDepth(n.cfg.Index, n.treeK)
-	} else {
-		st.Depth = n.cfg.Index
 	}
 	return st, true
 }
@@ -658,12 +655,12 @@ func (g *reorganizer) replanLocked() {
 		fmt.Sprintf(reorgDetailFormat, partnerSlot, int64(worstB), partner, xslot))
 }
 
-// rerankServes reports whether target is still this node's to serve under
+// serves reports whether target is still this node's to serve under
 // the current view: a view child, or reachable from here through failed
 // peers only (the §III-D subtree adoption, generalised to the re-ranked
 // tree). Workers re-check it before every (re)dial so a migrated-away
 // child is released instead of being chased.
-func (n *Node) rerankServes(target int) bool {
+func (n *Node) serves(target int) bool {
 	v := n.curView()
 	var walk func(node int) bool
 	walk = func(node int) bool {
@@ -689,10 +686,10 @@ func (n *Node) rerankFinished(peer int) bool {
 	return n.reorg != nil && n.reorg.hasSpoke(peer)
 }
 
-// desiredRerankTargets is the manager-side reconciliation set: the view
+// desiredTargets is the manager-side reconciliation set: the view
 // children (expanded through failed peers), minus completed lifecycles
 // and targets deferred until a newer view.
-func (n *Node) desiredRerankTargets(completed map[int]bool, deferred map[int]uint64) []int {
+func (n *Node) desiredTargets(completed map[int]bool, deferred map[int]uint64) []int {
 	v := n.curView()
 	var out []int
 	seen := make(map[int]bool)
@@ -722,9 +719,11 @@ func (n *Node) desiredRerankTargets(completed map[int]bool, deferred map[int]uin
 	return out
 }
 
-// runRerankManager is the downstream side of a re-ranking tree node: the
-// static tree manager's worker-per-child loop turned into a reconciler
-// over the live view. Reconciliation only ADDS workers (for newly desired
+// runRerankManager is the downstream side of a tree node: a reconciler
+// running one worker per desired target of the node's view. A static
+// tree's view never changes, so its workers only come and go with the
+// §III-D subtree adoption: a dead child's children become desired. Under
+// re-ranking, reconciliation only ADDS workers (for newly desired
 // targets); it never cancels one — displacement is child-driven. A child
 // that adopted a better parent closes the old connection, the old
 // worker's redial comes back QUIT(excluded), and the worker retires with
@@ -757,6 +756,7 @@ func (n *Node) runRerankManager(ctx context.Context) error {
 	deferred := make(map[int]uint64)
 	done := 0
 	var firstErr error
+	ctxDone := tctx.Done()
 
 	reportSeen := func() bool {
 		select {
@@ -782,14 +782,14 @@ func (n *Node) runRerankManager(ctx context.Context) error {
 					post(exit{target, outcomeDead, nil})
 					return
 				}
-				if !n.rerankServes(target) {
+				if !n.serves(target) {
 					post(exit{target, outcomeSuperseded, nil})
 					return
 				}
 				// Report-phase adoptive dials are quiet: a child that
 				// finished its lifecycle and detached must not be named a
 				// failure just because the view handed it to us late.
-				quiet := n.cfg.Index > 0 && reportSeen()
+				quiet := n.rerank && n.cfg.Index > 0 && reportSeen()
 				outcome, err := n.serveSuccessor(tctx, target, cur, quiet)
 				switch outcome {
 				case outcomeDone, outcomeDead, outcomeSuperseded:
@@ -813,7 +813,7 @@ func (n *Node) runRerankManager(ctx context.Context) error {
 	}
 
 	for {
-		desired := n.desiredRerankTargets(completed, deferred)
+		desired := n.desiredTargets(completed, deferred)
 		if firstErr == nil && tctx.Err() == nil {
 			for _, t := range desired {
 				if !running[t] {
@@ -830,6 +830,9 @@ func (n *Node) runRerankManager(ctx context.Context) error {
 			if firstErr != nil {
 				return firstErr
 			}
+			if !n.rerank && len(desired) == 0 {
+				break // a static view never hands this node another child
+			}
 			// A childless node may yet be promoted; it settles only once
 			// the report phase began (planning is frozen by then).
 			if reportSeen() && len(desired) == 0 {
@@ -839,13 +842,20 @@ func (n *Node) runRerankManager(ctx context.Context) error {
 				n.mu.Lock()
 				n.closing = true
 				n.mu.Unlock()
-				if len(n.desiredRerankTargets(completed, deferred)) == 0 {
+				if len(n.desiredTargets(completed, deferred)) == 0 {
 					break
 				}
 				continue
 			}
 		}
-		timer := n.clk.NewTimer(n.opts.RerankInterval)
+		// Only a re-ranking view can change without a worker exit, so
+		// only re-ranking sessions poll for it.
+		var timer Timer
+		var tick <-chan time.Time
+		if n.rerank {
+			timer = n.clk.NewTimer(n.opts.RerankInterval)
+			tick = timer.C()
+		}
 		select {
 		case ex := <-exitc:
 			delete(running, ex.target)
@@ -867,13 +877,16 @@ func (n *Node) runRerankManager(ctx context.Context) error {
 				cancel()
 			}
 		case <-n.viewKick:
-		case <-timer.C():
-		case <-tctx.Done():
+		case <-tick:
+		case <-ctxDone:
+			ctxDone = nil // closed for good: waiting on it again would spin
 			if firstErr == nil {
 				firstErr = tctx.Err()
 			}
 		}
-		timer.Stop()
+		if timer != nil {
+			timer.Stop()
+		}
 	}
 
 	// A late joiner must not certify the broadcast until its catch-up
@@ -899,8 +912,11 @@ func (n *Node) runRerankManager(ctx context.Context) error {
 	detected := len(n.detected) > 0
 	n.mu.Unlock()
 	if detected {
-		// Same supplementary-spoke rule as the static tree manager: late
-		// detections may be missing from every surviving leaf report.
+		// A child that died after this node's detections were already
+		// folded into the children's REPORT frames may be missing from
+		// every surviving spoke. Send a best-effort supplementary spoke
+		// before releasing PASSED upstream — node 0 cannot publish until
+		// our PASSED propagates, and Report.Merge collapses duplicates.
 		rep, _ := n.mergedReport()
 		for attempt := 0; attempt < n.opts.DialRetries; attempt++ {
 			if n.deliverRingReport(rep) == nil {

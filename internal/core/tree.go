@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"sync"
 )
@@ -126,132 +124,4 @@ func (t *childCursors) minLocked() uint64 {
 		}
 	}
 	return m
-}
-
-// runTreeManager is the downstream side of a tree node: one worker per
-// child, each running the chain's serveSuccessor lifecycle against its own
-// cursor. A worker whose child is confirmed dead adopts the child's
-// children (recursively for already-dead descendants), exactly the §III-D
-// skip generalised to subtrees. The manager completes when every worker
-// does; node 0 then publishes the merged ring report, interior nodes relay
-// PASSED upstream (plus a best-effort supplementary spoke when they
-// detected failures that no surviving leaf report may carry).
-func (n *Node) runTreeManager(ctx context.Context) error {
-	if n.rerank {
-		// Self-reorganizing sessions run the reconciling manager instead:
-		// same worker lifecycle, but the child set follows the live view.
-		return n.runRerankManager(ctx)
-	}
-	children := treeChildren(n.cfg.Index, n.treeK, len(n.peers()))
-	if len(children) == 0 {
-		return n.finishAsTail(ctx)
-	}
-	tctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	tr := newChildCursors(n.st)
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		done     int
-		firstErr error
-	)
-	terminal := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	var spawn func(target int)
-	spawn = func(target int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cur := tr.cursor()
-			defer cur.close()
-			retries := 0
-			for {
-				if err := tctx.Err(); err != nil {
-					terminal(err)
-					return
-				}
-				if n.isFailedPeer(target) {
-					// Re-graft the dead child's children onto this node:
-					// live ones get their own worker, dead ones recurse so
-					// the whole failed subtree is re-served (§III-D).
-					for _, g := range treeChildren(target, n.treeK, len(n.peers())) {
-						spawn(g)
-					}
-					return
-				}
-				outcome, err := n.serveSuccessor(tctx, target, cur, false)
-				switch outcome {
-				case outcomeDone:
-					mu.Lock()
-					done++
-					mu.Unlock()
-					return
-				case outcomeRetry:
-					retries++
-					if retries >= maxRetriesPerSuccessor {
-						n.recordFailure(target, fmt.Sprintf("gave up after %d reconnects", retries), n.st.Head())
-						retries = 0
-					}
-				case outcomeDead:
-					retries = 0
-					// recordFailure already happened at the detection site;
-					// the next iteration adopts the subtree.
-				case outcomeTerminal:
-					terminal(err)
-					return
-				default:
-					terminal(fmt.Errorf("kascade: internal: unexpected outcome %d", outcome))
-					return
-				}
-			}
-		}()
-	}
-	for _, c := range children {
-		spawn(c)
-	}
-	wg.Wait()
-
-	if firstErr != nil {
-		return firstErr
-	}
-	if done == 0 {
-		// Every child subtree died before completing: this node is the
-		// tail of its branch and closes its own ring spoke.
-		return n.finishAsTail(ctx)
-	}
-	if n.cfg.Index == 0 {
-		// All surviving leaves have delivered their spokes: a leaf's report
-		// arrives at node 0 before its PASSED flows upward, and PASSED
-		// reaching us is what completed the workers above.
-		rep, _ := n.mergedReport()
-		n.setRingReport(rep)
-		n.markPassed()
-		return nil
-	}
-	n.mu.Lock()
-	detected := len(n.detected) > 0
-	n.mu.Unlock()
-	if detected {
-		// A child that died after this node's detections were already
-		// folded into the childrens' REPORT frames may be missing from
-		// every surviving spoke. Send a best-effort supplementary spoke
-		// before releasing PASSED upstream — node 0 cannot publish until
-		// our PASSED propagates, and Report.Merge collapses duplicates.
-		rep, _ := n.mergedReport()
-		for attempt := 0; attempt < n.opts.DialRetries; attempt++ {
-			if n.deliverRingReport(rep) == nil {
-				break
-			}
-		}
-	}
-	n.markPassed()
-	return nil
 }
