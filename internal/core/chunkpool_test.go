@@ -49,7 +49,8 @@ func TestChunkReleasePanicsOnDoubleRelease(t *testing.T) {
 // wire.readData lands it in a pooled buffer, ingest appends it to the
 // ring (ownership move, no copy), nextBatch reads it back and
 // writeDataBatch emits it through the stallWriter as one vectored write
-// into the next pipe. Deadlines are set where serveUpstream and
+// into the next pipe, and the successor's cursor moves the window's
+// low-water mark past it. Deadlines are set where serveUpstream and
 // serveSuccessor set them. Steady state must not allocate — the ≤1 budget
 // absorbs runtime noise only. AllocsPerRun counts every goroutine, so the
 // feeding predecessor and the draining successor are held to it too.
@@ -104,6 +105,10 @@ func TestRelayPathAllocs(t *testing.T) {
 		}
 	}()
 
+	// The window advances the way a chain relay's worker advances it after
+	// each batch: through its cursor in the node's tracker, whose lock and
+	// map update are on the hot path too.
+	cur := newChildCursors(ws).cursor()
 	scratch := make([]*chunk, 0, maxBatchChunks)
 	var off uint64
 	relayOne := func() {
@@ -132,7 +137,7 @@ func TestRelayPathAllocs(t *testing.T) {
 			batch[i] = nil
 		}
 		off += uint64(batchBytes)
-		ws.SetLowWater(off)
+		cur.set(off)
 	}
 	allocs := testing.AllocsPerRun(300, relayOne)
 	t.Logf("%.0f allocs per relayed chunk", allocs)

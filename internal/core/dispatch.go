@@ -138,7 +138,12 @@ func (n *Node) serveFetch(w *wire, from int) {
 	_ = w.writeEnd(hi)
 }
 
-// receiveRingReport handles the last node's ring-closing connection.
+// receiveRingReport handles one ring-closing spoke: the report of a node
+// left without a completed child (the chain's tail, a tree's leaves), or an
+// interior node's supplementary report of late detections. Each spoke is
+// acknowledged at once and folded into node 0's report; node 0's manager
+// publishes the merged report once every child subtree completed its
+// PASSED exchange (runManager), which cannot happen before all spokes land.
 func (n *Node) receiveRingReport(w *wire, from int) {
 	defer w.close()
 	w.setReadDeadlineIn(n.opts.ReportTimeout)
@@ -156,23 +161,7 @@ func (n *Node) receiveRingReport(w *wire, from int) {
 		// reports have ceased and would otherwise stay mid-stream stale).
 		n.reorg.noteSpoke(from)
 	}
-	if n.treeK > 1 {
-		// Tree fan-out: several leaves (plus interior nodes with late
-		// detections) each close their own ring spoke. Acknowledge each
-		// immediately and accumulate; the tree manager publishes the
-		// merged report once every child subtree completed its PASSED
-		// exchange (tree.go), which cannot happen before all spokes land.
-		n.setUpReport(rep)
-		w.setWriteDeadlineIn(n.opts.GetTimeout)
-		_ = w.writePassed()
-		return
-	}
-	// Fold in the sender's own observations (e.g. abandons recorded by
-	// the fetch server) before publishing.
-	n.mu.Lock()
-	rep.Merge(&Report{Failures: append([]Failure(nil), n.detected...)})
-	n.mu.Unlock()
-	n.setRingReport(rep)
+	n.setUpReport(rep)
 	w.setWriteDeadlineIn(n.opts.GetTimeout)
 	_ = w.writePassed()
 }

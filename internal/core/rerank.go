@@ -655,28 +655,6 @@ func (g *reorganizer) replanLocked() {
 		fmt.Sprintf(reorgDetailFormat, partnerSlot, int64(worstB), partner, xslot))
 }
 
-// serves reports whether target is still this node's to serve under
-// the current view: a view child, or reachable from here through failed
-// peers only (the §III-D subtree adoption, generalised to the re-ranked
-// tree). Workers re-check it before every (re)dial so a migrated-away
-// child is released instead of being chased.
-func (n *Node) serves(target int) bool {
-	v := n.curView()
-	var walk func(node int) bool
-	walk = func(node int) bool {
-		for _, c := range v.childrenOf(node, n.treeK) {
-			if c == target {
-				return true
-			}
-			if n.isFailedPeer(c) && walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(n.cfg.Index)
-}
-
 // rerankFinished reports whether peer provably finished its copy: only
 // node 0 can know (it terminates the ring spokes), everyone else reads
 // false. Serving paths consult it before naming a failure — a refused
@@ -684,246 +662,4 @@ func (n *Node) serves(target int) bool {
 // completed lifecycle, not a death.
 func (n *Node) rerankFinished(peer int) bool {
 	return n.reorg != nil && n.reorg.hasSpoke(peer)
-}
-
-// desiredTargets is the manager-side reconciliation set: the view
-// children (expanded through failed peers), minus completed lifecycles
-// and targets deferred until a newer view.
-func (n *Node) desiredTargets(completed map[int]bool, deferred map[int]uint64) []int {
-	v := n.curView()
-	var out []int
-	seen := make(map[int]bool)
-	var expand func(target int)
-	expand = func(target int) {
-		if seen[target] {
-			return
-		}
-		seen[target] = true
-		if n.isFailedPeer(target) {
-			for _, g := range v.childrenOf(target, n.treeK) {
-				expand(g)
-			}
-			return
-		}
-		if completed[target] {
-			return
-		}
-		if dv, ok := deferred[target]; ok && dv >= v.version {
-			return
-		}
-		out = append(out, target)
-	}
-	for _, c := range v.childrenOf(n.cfg.Index, n.treeK) {
-		expand(c)
-	}
-	return out
-}
-
-// runRerankManager is the downstream side of a tree node: a reconciler
-// running one worker per desired target of the node's view. A static
-// tree's view never changes, so its workers only come and go with the
-// §III-D subtree adoption: a dead child's children become desired. Under
-// re-ranking, reconciliation only ADDS workers (for newly desired
-// targets); it never cancels one — displacement is child-driven. A child
-// that adopted a better parent closes the old connection, the old
-// worker's redial comes back QUIT(excluded), and the worker retires with
-// outcomeSuperseded, deferring the target until the view moves again.
-func (n *Node) runRerankManager(ctx context.Context) error {
-	tctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	tr := newChildCursors(n.st)
-
-	type exit struct {
-		target  int
-		outcome serveOutcome
-		err     error
-	}
-	// Late joiners can grow the worker set past the start membership, so
-	// worker exits must never rely on buffer capacity: sends block until
-	// the manager (which drains continuously) takes them, and a sentinel
-	// releases stragglers once the manager has returned.
-	exitc := make(chan exit, len(n.peers()))
-	mgrDone := make(chan struct{})
-	defer close(mgrDone)
-	post := func(ex exit) {
-		select {
-		case exitc <- ex:
-		case <-mgrDone:
-		}
-	}
-	running := make(map[int]bool)
-	completed := make(map[int]bool)
-	deferred := make(map[int]uint64)
-	done := 0
-	var firstErr error
-	ctxDone := tctx.Done()
-
-	reportSeen := func() bool {
-		select {
-		case <-n.reportC:
-			return true
-		default:
-			return false
-		}
-	}
-
-	spawn := func(target int) {
-		running[target] = true
-		go func() {
-			cur := tr.cursor()
-			defer cur.close()
-			retries := 0
-			for {
-				if err := tctx.Err(); err != nil {
-					post(exit{target, outcomeTerminal, err})
-					return
-				}
-				if n.isFailedPeer(target) {
-					post(exit{target, outcomeDead, nil})
-					return
-				}
-				if !n.serves(target) {
-					post(exit{target, outcomeSuperseded, nil})
-					return
-				}
-				// Report-phase adoptive dials are quiet: a child that
-				// finished its lifecycle and detached must not be named a
-				// failure just because the view handed it to us late.
-				quiet := n.rerank && n.cfg.Index > 0 && reportSeen()
-				outcome, err := n.serveSuccessor(tctx, target, cur, quiet)
-				switch outcome {
-				case outcomeDone, outcomeDead, outcomeSuperseded:
-					post(exit{target, outcome, nil})
-					return
-				case outcomeRetry:
-					retries++
-					if retries >= maxRetriesPerSuccessor {
-						n.recordFailure(target, fmt.Sprintf("gave up after %d reconnects", retries), n.st.Head())
-						retries = 0
-					}
-				case outcomeTerminal:
-					post(exit{target, outcomeTerminal, err})
-					return
-				default:
-					post(exit{target, outcomeTerminal, fmt.Errorf("kascade: internal: unexpected outcome %d", outcome)})
-					return
-				}
-			}
-		}()
-	}
-
-	for {
-		desired := n.desiredTargets(completed, deferred)
-		if firstErr == nil && tctx.Err() == nil {
-			for _, t := range desired {
-				if !running[t] {
-					spawn(t)
-				}
-			}
-		}
-		if len(running) == 0 && len(desired) == 0 {
-			// Currently a view leaf: stop pinning the replay window, or
-			// this node's own ingest stalls against a ring nobody reads.
-			tr.idle()
-		}
-		if len(running) == 0 {
-			if firstErr != nil {
-				return firstErr
-			}
-			if !n.rerank && len(desired) == 0 {
-				break // a static view never hands this node another child
-			}
-			// A childless node may yet be promoted; it settles only once
-			// the report phase began (planning is frozen by then).
-			if reportSeen() && len(desired) == 0 {
-				// Bar further joins before committing to settle, then
-				// re-check once: a joiner grafted between the desired
-				// computation and here must be served, not starved.
-				n.mu.Lock()
-				n.closing = true
-				n.mu.Unlock()
-				if len(n.desiredTargets(completed, deferred)) == 0 {
-					break
-				}
-				continue
-			}
-		}
-		// Only a re-ranking view can change without a worker exit, so
-		// only re-ranking sessions poll for it.
-		var timer Timer
-		var tick <-chan time.Time
-		if n.rerank {
-			timer = n.clk.NewTimer(n.opts.RerankInterval)
-			tick = timer.C()
-		}
-		select {
-		case ex := <-exitc:
-			delete(running, ex.target)
-			switch ex.outcome {
-			case outcomeDone:
-				completed[ex.target] = true
-				done++
-			case outcomeDead:
-				if !n.isFailedPeer(ex.target) {
-					// Quiet dial on a finished, detached peer: settled.
-					completed[ex.target] = true
-				}
-			case outcomeSuperseded:
-				deferred[ex.target] = n.curView().version
-			case outcomeTerminal:
-				if firstErr == nil {
-					firstErr = ex.err
-				}
-				cancel()
-			}
-		case <-n.viewKick:
-		case <-tick:
-		case <-ctxDone:
-			ctxDone = nil // closed for good: waiting on it again would spin
-			if firstErr == nil {
-				firstErr = tctx.Err()
-			}
-		}
-		if timer != nil {
-			timer.Stop()
-		}
-	}
-
-	// A late joiner must not certify the broadcast until its catch-up
-	// backfill reached parity: its PASSED (and hence the session end)
-	// waits here. Node 0's manager is still live meanwhile, so catch-up
-	// fetches keep being served. No-op for everyone else.
-	if err := n.awaitCatchUp(ctx); err != nil {
-		return err
-	}
-
-	if done == 0 {
-		// Every (remaining) child subtree died or this node ended up a
-		// leaf: close its own ring spoke.
-		return n.finishAsTail(ctx)
-	}
-	if n.cfg.Index == 0 {
-		rep, _ := n.mergedReport()
-		n.setRingReport(rep)
-		n.markPassed()
-		return nil
-	}
-	n.mu.Lock()
-	detected := len(n.detected) > 0
-	n.mu.Unlock()
-	if detected {
-		// A child that died after this node's detections were already
-		// folded into the children's REPORT frames may be missing from
-		// every surviving spoke. Send a best-effort supplementary spoke
-		// before releasing PASSED upstream — node 0 cannot publish until
-		// our PASSED propagates, and Report.Merge collapses duplicates.
-		rep, _ := n.mergedReport()
-		for attempt := 0; attempt < n.opts.DialRetries; attempt++ {
-			if n.deliverRingReport(rep) == nil {
-				break
-			}
-		}
-	}
-	n.markPassed()
-	return nil
 }

@@ -133,7 +133,7 @@ func TestSchedulerBatchedWakeups(t *testing.T) {
 		t.Fatalf("quantum turn claimed %d bytes in %d chunks, want 256 in 4", turn.n, len(turn.batch))
 	}
 	releaseTurn(turn)
-	ws.SetLowWater(512)
+	ws.ResetLowWater(512)
 
 	// EOF flushes a partial backlog immediately, hot or not.
 	ch = collectTurn(e, 512)
@@ -292,7 +292,7 @@ func TestSchedulerFlushTimer(t *testing.T) {
 		t.Fatalf("first turn claimed %d bytes, want 256", turn.n)
 	}
 	releaseTurn(turn)
-	ws.SetLowWater(256)
+	ws.ResetLowWater(256)
 
 	// Park at the threshold, then trickle ONE sub-quantum chunk and stop (a paused
 	// producer, no EOF): the threshold alone would never fire.

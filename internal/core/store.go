@@ -81,12 +81,10 @@ type store interface {
 	// without blocking, so the caller should poll again instead of
 	// waiting.
 	ArmNotify(off uint64, want int) bool
-	// SetLowWater tells the store that bytes below off are safely at the
-	// successor, making the chunks below off eligible for eviction.
-	SetLowWater(off uint64)
-	// ResetLowWater rebases the consumption mark when a *new* successor
-	// takes over at an older offset, protecting its unread chunks from
-	// eviction.
+	// ResetLowWater tells the store that bytes below off are safely at
+	// every successor, making the chunks below off eligible for eviction.
+	// The mark may move backwards: a successor taking over at an older
+	// offset protects its unread chunks from eviction.
 	ResetLowWater(off uint64)
 	// ReleaseAll lifts back-pressure entirely (the node became the
 	// pipeline tail and has no successor to replay for).
@@ -410,15 +408,6 @@ func (s *windowStore) chunkAtLocked(off uint64) (*chunk, error) {
 	return s.ring[s.slot(idx)].retain(), nil
 }
 
-func (s *windowStore) SetLowWater(off uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if off > s.lowWater {
-		s.lowWater = off
-		s.wakeLocked()
-	}
-}
-
 func (s *windowStore) ResetLowWater(off uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -616,7 +605,6 @@ func (s *fileStore) SetNotify(func()) {}
 // ArmNotify always reports "ready now": the caller should poll, not wait.
 func (s *fileStore) ArmNotify(uint64, int) bool { return false }
 
-func (s *fileStore) SetLowWater(uint64)   {}
 func (s *fileStore) ResetLowWater(uint64) {}
 func (s *fileStore) ReleaseAll()          {}
 func (s *fileStore) Head() uint64         { return s.size }

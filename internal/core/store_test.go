@@ -35,7 +35,7 @@ func TestWindowStoreSequentialReadBack(t *testing.T) {
 		got = append(got, c.bytes()...)
 		off += uint64(len(c.bytes()))
 		c.release()
-		s.SetLowWater(off)
+		s.ResetLowWater(off)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -61,7 +61,7 @@ func TestWindowStoreBackPressureAndEviction(t *testing.T) {
 		t.Fatal("append should have blocked on full window")
 	case <-time.After(50 * time.Millisecond):
 	}
-	s.SetLowWater(4) // first chunk consumed
+	s.ResetLowWater(4) // first chunk consumed
 	select {
 	case err := <-done:
 		if err != nil {
@@ -112,7 +112,7 @@ func TestWindowStoreResetLowWaterProtectsReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.SetLowWater(16) // old successor consumed everything
+	s.ResetLowWater(16) // old successor consumed everything
 	// New successor resumes at 4: protect [4,16) from eviction.
 	s.ResetLowWater(4)
 	done := make(chan error, 1)
@@ -259,7 +259,7 @@ func TestWindowStorePipelineIntegrityQuick(t *testing.T) {
 			got = append(got, c.bytes()...)
 			off += uint64(len(c.bytes()))
 			c.release()
-			s.SetLowWater(off)
+			s.ResetLowWater(off)
 		}
 		return bytes.Equal(got, payload)
 	}

@@ -5,54 +5,36 @@ import (
 	"sync"
 )
 
-// Tree dissemination (Plan.Topology "tree:<k>"): the same ordered peers as
-// the chain, arranged as a BFS k-ary tree (treeplan.go). Every relay serves
-// up to k children from its one replay window, so the window's low-water
-// mark must track the slowest child — that is the cursor tracker below.
-// Recovery generalises §III-D from predecessor/successor to parent/children:
-// when a child is confirmed dead (same stall + ping discipline), its worker
-// adopts the dead child's children, re-grafting the whole failed subtree
-// onto this node. The report ring becomes a set of spokes: leaves deliver
-// their merged reports to node 0 directly (finishAsTail, unchanged), and
+// Tree dissemination (Plan.Topology "tree:<k>", of which the chain is
+// tree:1): the ordered peers arranged as a BFS k-ary tree (treeplan.go),
+// whose slots the node's view (rerank.go) assigns to peers. Every relay
+// serves up to k children from its one replay window, so the window's
+// low-water mark must track the slowest child — that is the cursor
+// tracker below. Recovery generalises §III-D from predecessor/successor to
+// parent/children: when a child is confirmed dead (same stall + ping
+// discipline), the manager (runManager, downstream.go) adopts the dead
+// child's children, re-grafting the whole failed subtree onto this node.
+// The report ring becomes a set of spokes: a node left without a completed
+// child delivers its merged report to node 0 directly (finishAsTail), and
 // node 0 publishes once every child subtree completed its PASSED exchange.
 
 // childCursor tracks one successor's forward progress against the replay
-// window. On the chain there is exactly one consumer, so the cursor talks
-// to the store directly (st set, tr nil); tree workers register theirs with
-// the node's tracker, which folds all cursors into one low-water mark.
+// window. Every worker registers its cursor with the node's tracker, which
+// folds all cursors into one low-water mark.
 type childCursor struct {
-	st  store         // direct mode: the chain's single consumer
-	tr  *childCursors // tracker mode: one of k tree children
+	tr  *childCursors
 	off uint64
 }
 
-// reset repositions the cursor to a successor-chosen offset (initial GET,
-// or the re-GET after a FORGET gap fetch). The offset may move backwards —
-// a re-grafted child resumes from wherever its dead parent left it.
-func (c *childCursor) reset(off uint64) {
-	if c.tr != nil {
-		c.tr.update(c, off)
-		return
-	}
-	c.st.ResetLowWater(off)
-}
+// set moves the cursor past served bytes, or to a successor-chosen offset
+// (initial GET, or the re-GET after a FORGET gap fetch). The offset may
+// move backwards — a re-grafted child resumes from wherever its dead
+// parent left it.
+func (c *childCursor) set(off uint64) { c.tr.update(c, off) }
 
-// advance moves the cursor forward past served bytes.
-func (c *childCursor) advance(off uint64) {
-	if c.tr != nil {
-		c.tr.update(c, off)
-		return
-	}
-	c.st.SetLowWater(off)
-}
-
-// close deregisters a tracked cursor so a finished (or dead) child stops
-// holding the window back. Direct-mode cursors have nothing to release.
-func (c *childCursor) close() {
-	if c.tr != nil {
-		c.tr.drop(c)
-	}
-}
+// close deregisters the cursor so a finished (or dead) child stops
+// holding the window back.
+func (c *childCursor) close() { c.tr.drop(c) }
 
 // childCursors folds the progress of all live child cursors into the
 // store's single low-water mark: the window retains everything the slowest
