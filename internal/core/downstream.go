@@ -684,6 +684,16 @@ func (n *Node) expectType(ctx context.Context, w *wire, succ int, addr string, w
 			if remaining > 0 && n.probe(addr) {
 				continue
 			}
+			if want == MsgPassed {
+				// A successor that completed its lifecycle detaches right
+				// after sending PASSED, so the ping can go unanswered while
+				// PASSED is still on its way: look once more before naming
+				// the peer.
+				w.setReadDeadlineIn(n.opts.PingTimeout)
+				if typ, err := w.readType(); err == nil && typ == want {
+					return outcomeOK, nil
+				}
+			}
 			if n.rerankFinished(succ) {
 				// The child's ring spoke landed while we waited: it
 				// finished its copy and detached, it did not die.

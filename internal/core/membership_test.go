@@ -464,18 +464,29 @@ func TestCatchUpEvicted(t *testing.T) {
 // --- wire compatibility ----------------------------------------------------
 
 // TestWireCompatPinnedValues pins every frame-type and role constant to
-// its wire value: the JOIN/REORG2 additions must only ever append. A
-// failure here is a protocol break for pre-JOIN peers.
+// its wire value: the JOIN/REORG2 additions must only ever append, and a
+// retired frame keeps its value unused. A failure here is a protocol break
+// for pre-JOIN peers.
 func TestWireCompatPinnedValues(t *testing.T) {
 	msgs := map[MsgType]byte{
 		MsgHello: 1, MsgGet: 2, MsgPGet: 3, MsgForget: 4, MsgData: 5,
 		MsgEnd: 6, MsgQuit: 7, MsgReport: 8, MsgPassed: 9, MsgPing: 10,
-		MsgPong: 11, MsgHello2: 12, MsgReorg: 13, MsgRate: 14,
+		MsgPong: 11, MsgHello2: 12, MsgRate: 14,
 		MsgReorg2: 15, MsgJoin: 16, MsgJoinInfo: 17, MsgJoinGo: 18, MsgJoinOK: 19,
 	}
 	for m, v := range msgs {
 		if byte(m) != v {
 			t.Fatalf("%v = %d, want pinned wire value %d", m, byte(m), v)
+		}
+	}
+	// Retired values stay unused and their frames are protocol errors: 13
+	// was REORG v1, replaced by REORG2 with an empty member table. The body
+	// is a well-formed v1 view (version 1, no slots) that must not parse.
+	for _, retired := range []MsgType{13} {
+		w := newWire(readerConn{bytes.NewReader([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0})}, SystemClock())
+		var pe *errProtocol
+		if _, err := (&Node{}).readViewFrame(w, retired); !errors.As(err, &pe) {
+			t.Fatalf("view frame of retired type %d: %v, want a protocol error", byte(retired), err)
 		}
 	}
 	roles := map[Role]byte{

@@ -19,9 +19,14 @@
 //     are accounted against.
 //   - Node (this file) is the per-session lifecycle: configuration, the
 //     Run state machine, and the failure-report bookkeeping.
-//   - The data plane (dataplane.go, store.go, chunkpool.go, downstream.go)
-//     moves payload: pooled ref-counted chunks, the ring-buffer replay
-//     window, and the vectored downstream sender.
+//   - The data plane (dataplane.go, store.go, chunkpool.go) moves payload:
+//     pooled ref-counted chunks and the ring-buffer replay window.
+//   - The downstream manager (downstream.go) is one reconciler for every
+//     topology: it runs a worker per successor that the node's view
+//     (tree.go, rerank.go) hands it, each a vectored sender with its own
+//     cursor on the window. A chain is the view tree:1, a static tree a
+//     view that never changes, and a re-ranking tree a view that node 0
+//     replans mid-broadcast.
 //   - The recovery plane (recovery.go) implements §III-D: the upstream
 //     rewiring loop, the ping-based failure detector, and PGET gap fetches.
 //   - The dispatch layer (dispatch.go) serves the accept side of one node
@@ -114,7 +119,7 @@ type Node struct {
 	// tree topology.
 	rerank   bool
 	view     atomic.Pointer[treeView] // current slot-occupant assignment
-	viewKick chan struct{}            // nudges the re-graft manager on view changes
+	viewKick chan struct{}            // nudges the manager on view changes
 	rates    linkRates                // per-downstream-link drain-rate meters
 	reorg    *reorganizer             // node 0 only: the planner
 

@@ -131,26 +131,7 @@ func (n *Node) absorbReorgProof(repl *upstreamConn) uint64 {
 	if err != nil {
 		return 0
 	}
-	var version uint64
-	var occ []int32
-	switch typ {
-	case MsgReorg:
-		version, occ, err = repl.w.readReorg()
-	case MsgReorg2:
-		// Wide proof: the view references slots past the start plan, so
-		// the member table rides along and must land first.
-		var members []wireMember
-		version, occ, members, err = repl.w.readReorg2()
-		if err == nil {
-			err = n.addMembers(members)
-		}
-	default:
-		return 0
-	}
-	if err != nil || version == 0 {
-		return 0
-	}
-	n.installWireView(version, occ)
+	version, _ := n.readViewFrame(repl.w, typ) // 0 with any error
 	return version
 }
 
@@ -233,11 +214,11 @@ func (n *Node) serveUpstream(ctx context.Context, uc *upstreamConn) (*upstreamCo
 			if err := w.writeGet(n.st.Head()); err != nil {
 				return nil, nil
 			}
-		case MsgReorg, MsgReorg2:
+		case MsgReorg2:
 			// A new view, piggybacked on the data stream (or the dial-time
-			// proof of a connection accepted without replacement judgement).
-			// The wide variant carries the member table for late joiners.
-			if err := n.readViewFrame(w, typ); err != nil {
+			// proof of a connection accepted without replacement judgement),
+			// with the member table for late joiners.
+			if _, err := n.readViewFrame(w, typ); err != nil {
 				return nil, nil
 			}
 		case MsgReport:

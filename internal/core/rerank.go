@@ -35,7 +35,8 @@ import (
 // shape is held by the node with original pipeline index occupant[s];
 // slotOf is the inverse permutation. Views are immutable — a new plan is
 // a new treeView with a higher version. Version 1 is the identity (the
-// START-time tree).
+// START-time tree), which a session that does not re-rank keeps forever:
+// the manager (runManager) serves chains and static trees from it.
 type treeView struct {
 	version  uint64
 	occupant []int32
@@ -120,7 +121,7 @@ func (v *treeView) depthOf(node, k int) int {
 func (n *Node) curView() *treeView { return n.view.Load() }
 
 // installView publishes v if it is newer than the current view and wakes
-// the re-graft manager. Reports whether v was installed.
+// the manager (runManager). Reports whether v was installed.
 func (n *Node) installView(v *treeView) bool {
 	for {
 		cur := n.view.Load()
@@ -158,13 +159,10 @@ func (n *Node) installWireView(version uint64, occ []int32) bool {
 	return n.installView(viewFromOccupants(version, occ))
 }
 
-// writeView frames the view for the wire: a plain REORG while the view
-// fits the start plan (byte-identical to the pre-JOIN protocol), REORG2
-// carrying the member table once late joiners hold slots beyond it.
+// writeView frames the view for the wire as a REORG2, whose member table
+// carries the slots beyond the start plan (none until a late joiner holds
+// one).
 func (n *Node) writeView(w *wire, v *treeView) error {
-	if len(v.occupant) <= n.basePeers {
-		return w.writeReorg(v.version, v.occupant)
-	}
 	peers := n.peers()
 	members := make([]wireMember, 0, len(v.occupant)-n.basePeers)
 	for i := n.basePeers; i < len(v.occupant) && i < len(peers); i++ {
@@ -173,33 +171,26 @@ func (n *Node) writeView(w *wire, v *treeView) error {
 	return w.writeReorg2(v.version, v.occupant, members)
 }
 
-// readViewFrame absorbs the body of a REORG or REORG2 frame (typ, already
-// read) and installs the view it carries; REORG2 extends the member table
-// first so the view never references an unknown peer.
-func (n *Node) readViewFrame(w *wire, typ MsgType) error {
-	switch typ {
-	case MsgReorg:
-		version, occ, err := w.readReorg()
-		if err != nil {
-			return err
-		}
-		n.installWireView(version, occ)
-	case MsgReorg2:
-		version, occ, members, err := w.readReorg2()
-		if err != nil {
-			return err
-		}
-		if err := n.addMembers(members); err != nil {
-			return err
-		}
-		n.installWireView(version, occ)
-	default:
-		return &errProtocol{want: MsgReorg, got: typ}
+// readViewFrame absorbs the body of a REORG2 frame (typ, already read)
+// and installs the view it carries, extending the member table first so
+// the view never references an unknown peer. It returns the version the
+// frame carried.
+func (n *Node) readViewFrame(w *wire, typ MsgType) (uint64, error) {
+	if typ != MsgReorg2 {
+		return 0, &errProtocol{want: MsgReorg2, got: typ}
 	}
-	return nil
+	version, occ, members, err := w.readReorg2()
+	if err != nil {
+		return 0, err
+	}
+	if err := n.addMembers(members); err != nil {
+		return 0, err
+	}
+	n.installWireView(version, occ)
+	return version, nil
 }
 
-// kickRerank nudges the re-graft manager to reconcile against the
+// kickRerank nudges the manager (runManager) to reconcile against the
 // current view (non-blocking; coalesces).
 func (n *Node) kickRerank() {
 	if n.viewKick == nil {
@@ -343,7 +334,7 @@ func (n *Node) sendRateReport(ingest float64) {
 	if err != nil {
 		return
 	}
-	_ = n.readViewFrame(w, typ)
+	_, _ = n.readViewFrame(w, typ)
 }
 
 // serveRateSpoke is node 0's side of one RATE spoke connection: fold the

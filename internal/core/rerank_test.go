@@ -211,7 +211,9 @@ func TestRerankFreezeProjectsStaleReports(t *testing.T) {
 // TestExpectTypeSparesFinishedChild: a child whose ring spoke landed at
 // node 0 has finished its copy and closed its listener. Waiting on it for
 // a frame that never comes, with the ping unanswered, is a completed
-// lifecycle, not a death, and must not name it in the report.
+// lifecycle, not a death, and must not name it in the report. Nor is a
+// child whose awaited frame lands only after the stall timer fired and
+// its ping went unanswered: it sent the frame and then detached.
 func TestExpectTypeSparesFinishedChild(t *testing.T) {
 	opts := rerankOpts()
 	opts.WriteStallTimeout = 20 * time.Millisecond
@@ -219,8 +221,8 @@ func TestExpectTypeSparesFinishedChild(t *testing.T) {
 	n, fabric, peers := plannerRoot(t, opts)
 
 	// silentChild connects node 0 to view child c, which accepts and then
-	// closes its listener without ever answering.
-	silentChild := func(c int) *wire {
+	// closes its listener without answering; far is the child's end.
+	silentChild := func(c int) (w, far *wire) {
 		l, err := fabric.Host(peers[c].Name).Listen(peers[c].Addr)
 		if err != nil {
 			t.Fatal(err)
@@ -229,19 +231,20 @@ func TestExpectTypeSparesFinishedChild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		far, err := l.Accept()
+		fc, err := l.Accept()
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { far.Close() })
+		t.Cleanup(func() { fc.Close() })
 		l.Close()
-		w := n.newWire(conn)
+		w = n.newWire(conn)
 		t.Cleanup(func() { w.close() })
-		return w
+		return w, n.newWire(fc)
 	}
 
 	n.reorg.noteSpoke(1)
-	out, err := n.expectType(context.Background(), silentChild(1), 1, peers[1].Addr, MsgGet, time.Second, false)
+	w1, _ := silentChild(1)
+	out, err := n.expectType(context.Background(), w1, 1, peers[1].Addr, MsgGet, time.Second, false)
 	if out != outcomeSuperseded || err != nil {
 		t.Fatalf("finished child: outcome %d, err %v; want superseded", out, err)
 	}
@@ -249,8 +252,25 @@ func TestExpectTypeSparesFinishedChild(t *testing.T) {
 		t.Fatal("finished child named a failure")
 	}
 
+	// PASSED written three stall periods in: the first read times out and
+	// the probe finds the listener closed well before it lands.
+	n.opts.PingTimeout = time.Second
+	w3, far := silentChild(3)
+	go func() {
+		time.Sleep(3 * opts.WriteStallTimeout)
+		_ = far.writePassed()
+	}()
+	if out, err := n.expectType(context.Background(), w3, 3, peers[3].Addr, MsgPassed, time.Second, false); out != outcomeOK || err != nil {
+		t.Fatalf("late PASSED from a detached child: outcome %d, err %v; want ok", out, err)
+	}
+	if n.isFailedPeer(3) {
+		t.Fatal("child whose PASSED landed late named a failure")
+	}
+	n.opts.PingTimeout = opts.PingTimeout
+
 	// Without the spoke the same silence is a death.
-	if out, _ := n.expectType(context.Background(), silentChild(2), 2, peers[2].Addr, MsgGet, time.Second, false); out != outcomeDead {
+	w2, _ := silentChild(2)
+	if out, _ := n.expectType(context.Background(), w2, 2, peers[2].Addr, MsgGet, time.Second, false); out != outcomeDead {
 		t.Fatalf("silent child without a spoke: outcome %d, want dead", out)
 	}
 	if !n.isFailedPeer(2) {

@@ -29,9 +29,9 @@ const (
 	MsgPing                        // liveness probe
 	MsgPong                        // liveness answer
 	MsgHello2                      // HELLO v2: role + node index + session ID
-	MsgReorg                       // view version + slot assignment: tree re-ranking plan
+	_                              // 13: the retired REORG v1 frame; unused so later values keep theirs
 	MsgRate                        // length + JSON link-rate report (reorg spoke)
-	MsgReorg2                      // REORG plus the member table for slots beyond the start plan
+	MsgReorg2                      // view version + slot assignment + member table: tree re-ranking plan
 	MsgJoin                        // length + JSON join request (late joiner → node 0)
 	MsgJoinInfo                    // length + JSON session descriptor (node 0 → joiner, pre-admission)
 	MsgJoinGo                      // joiner passed local admission; node 0 may graft
@@ -64,8 +64,6 @@ func (m MsgType) String() string {
 		return "PONG"
 	case MsgHello2:
 		return "HELLO2"
-	case MsgReorg:
-		return "REORG"
 	case MsgRate:
 		return "RATE"
 	case MsgReorg2:
@@ -311,9 +309,9 @@ func (w *wire) readReport() (*Report, error) {
 // maxReorgSlots bounds the occupant table accepted from the wire.
 const maxReorgSlots = 1 << 20
 
-// readReorg parses a REORG payload (after the type byte): the view
-// version, then the slot-occupant table — tree slot i is held by the node
-// whose original pipeline index is occ[i].
+// readReorg parses the body REORG2 opens with (after the type byte): the
+// view version, then the slot-occupant table — tree slot i is held by the
+// node whose original pipeline index is occ[i].
 func (w *wire) readReorg() (uint64, []int32, error) {
 	version, err := w.readUint64()
 	if err != nil {
@@ -467,21 +465,6 @@ func (w *wire) writeReport(r *Report) error {
 	return w.writeAll(payload)
 }
 
-// writeReorg frames a tree re-ranking plan (see readReorg).
-func (w *wire) writeReorg(version uint64, occupants []int32) error {
-	w.hdr[0] = byte(MsgReorg)
-	binary.BigEndian.PutUint64(w.hdr[1:9], version)
-	binary.BigEndian.PutUint32(w.hdr[9:13], uint32(len(occupants)))
-	if err := w.writeAll(w.hdr[:13]); err != nil {
-		return err
-	}
-	buf := make([]byte, 4*len(occupants))
-	for i, o := range occupants {
-		binary.BigEndian.PutUint32(buf[4*i:], uint32(o))
-	}
-	return w.writeAll(buf)
-}
-
 // wireMember names a membership slot learned over the wire. Late joiners
 // are appended to the broadcast membership after START, so any view that
 // references slots beyond the start plan must carry the index→peer mapping
@@ -495,10 +478,9 @@ type wireMember struct {
 // maxReorgMembers bounds the member table accepted from the wire.
 const maxReorgMembers = 1 << 16
 
-// writeReorg2 frames a re-ranking plan together with the member table for
-// the slots past the start plan — the dynamic-membership superset of
-// writeReorg. Sessions that never admit a joiner never emit this frame,
-// keeping their byte stream identical to the pre-JOIN protocol.
+// writeReorg2 frames a tree re-ranking plan (see readReorg) together with
+// the member table for the slots past the start plan, which is empty until
+// a late joiner holds one.
 func (w *wire) writeReorg2(version uint64, occupants []int32, members []wireMember) error {
 	payload, err := json.Marshal(members)
 	if err != nil {
@@ -525,8 +507,9 @@ func (w *wire) writeReorg2(version uint64, occupants []int32, members []wireMemb
 	return w.writeAll(payload)
 }
 
-// readReorg2 parses a REORG2 payload (after the type byte): the REORG body
-// followed by the member table for slots beyond the reader's start plan.
+// readReorg2 parses a REORG2 payload (after the type byte): the view body
+// (readReorg) followed by the member table for slots beyond the reader's
+// start plan.
 func (w *wire) readReorg2() (uint64, []int32, []wireMember, error) {
 	version, occ, err := w.readReorg()
 	if err != nil {
