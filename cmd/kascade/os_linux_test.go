@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -262,11 +263,18 @@ func firstDiff(a, b []byte) int {
 
 // execTestAgent re-executes the test binary as an agent with the given
 // standard error and returns its pid and a channel that yields its exit
-// error. The agent is killed when the test ends.
-func execTestAgent(t *testing.T, stderr *os.File) (int, <-chan error) {
+// error. The agent's environment is the test's, without GOGC, plus env.
+// The agent is killed when the test ends.
+func execTestAgent(t *testing.T, stderr *os.File, env ...string) (int, <-chan error) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), asAgentEnv+"=1")
+	for _, kv := range os.Environ() {
+		if !strings.HasPrefix(kv, "GOGC=") {
+			cmd.Env = append(cmd.Env, kv)
+		}
+	}
+	cmd.Env = append(cmd.Env, asAgentEnv+"=1")
+	cmd.Env = append(cmd.Env, env...)
 	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -281,6 +289,143 @@ func execTestAgent(t *testing.T, stderr *os.File) (int, <-chan error) {
 		<-exited
 	})
 	return cmd.Process.Pid, exited
+}
+
+// readAgentAddr reads an agent's banner from its standard error and returns
+// the control address it announces.
+func readAgentAddr(t *testing.T, stderr *bufio.Reader) string {
+	t.Helper()
+	banner, err := stderr.ReadString('\n')
+	_, rest, ok := strings.Cut(banner, "control on ")
+	addr, _, _ := strings.Cut(rest, ",")
+	if err != nil || !ok {
+		t.Fatalf("agent banner %q: %v", banner, err)
+	}
+	return addr
+}
+
+// spawnAgentAddr re-executes the test binary as an agent, with env added to
+// its environment, and returns its control address. Its standard error is
+// drained until the test ends.
+func spawnAgentAddr(t *testing.T, env ...string) string {
+	t.Helper()
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	execTestAgent(t, pw, env...)
+	pw.Close()
+	t.Cleanup(func() { pr.Close() })
+	br := bufio.NewReader(pr)
+	addr := readAgentAddr(t, br)
+	go func() { _, _ = io.Copy(io.Discard, br) }()
+	return addr
+}
+
+// agentStatus runs `kascade status` against addr and decodes its output.
+func agentStatus(t *testing.T, addr string) control.StatsReply {
+	t.Helper()
+	var out bytes.Buffer
+	if err := runStatus(addr, &out); err != nil {
+		t.Fatal(err)
+	}
+	var st control.StatsReply
+	if err := json.Unmarshal(out.Bytes(), &st); err != nil {
+		t.Fatalf("kascade status printed %q: %v", out.String(), err)
+	}
+	return st
+}
+
+// TestAgentPacesGCToItsWindow: an agent process paces its collector at
+// agentGCPercent unless its environment sets GOGC. After relaying a bulk
+// broadcast with the default 16 MiB replay window, its heap goal is the
+// live heap plus a quarter, not plus all of it. The GC roots (stacks and
+// globals) add a quarter of themselves, well inside the 1 MiB allowed.
+func TestAgentPacesGCToItsWindow(t *testing.T) {
+	addr := spawnAgentAddr(t)
+	client, err := control.Dial(addr, 5*time.Second, control.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	relayThrough(t, client, 64<<20)
+
+	m := agentStatus(t, addr).Memory
+	if m.GCPercent != agentGCPercent {
+		t.Fatalf("agent reports GOGC %d, want %d", m.GCPercent, agentGCPercent)
+	}
+	if m.GCCycles == 0 || m.HeapLive < core.DefaultWindowChunks*core.DefaultChunkSize/2 {
+		t.Fatalf("after the broadcast: %+v, want collections and a live window", m)
+	}
+	if limit := m.HeapLive + m.HeapLive/4 + 1<<20; m.HeapGoal > limit {
+		t.Fatalf("heap goal %d B for %d B live, want at most %d", m.HeapGoal, m.HeapLive, limit)
+	}
+
+	if m := agentStatus(t, spawnAgentAddr(t, "GOGC=100")).Memory; m.GCPercent != 100 {
+		t.Fatalf("agent started with GOGC=100 reports GOGC %d", m.GCPercent)
+	}
+}
+
+// relayThrough broadcasts size bytes with the default protocol options
+// down a three-node chain whose middle node, the relay, is the agent
+// behind client. The sender and the tail run in the test.
+func relayThrough(t *testing.T, client *control.Client, size int64) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var opts core.Options
+	const sid = 3
+	rep, err := client.Prepare(ctx, control.PrepareRequest{Session: sid, Reservation: opts.PoolReservation()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ls [2]transport.Listener
+	for i := range ls {
+		if ls[i], err = (transport.TCP{}).Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		defer ls[i].Close()
+	}
+	peers := []core.Peer{
+		{Name: "sender", Addr: ls[0].Addr()},
+		{Name: "relay", Addr: rep.DataAddr},
+		{Name: "tail", Addr: ls[1].Addr()},
+	}
+	plan := core.Plan{Peers: peers, Opts: opts, Session: sid}
+	pending, err := client.Start(control.StartRequest{Session: sid, Index: 1, Peers: peers, Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := core.NewNode(core.NodeConfig{Index: 2, Plan: plan, Network: transport.TCP{}, Listener: ls[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailDone := make(chan error, 1)
+	go func() {
+		_, err := tail.Run(ctx)
+		tailDone <- err
+	}()
+	sender, err := core.NewNode(core.NodeConfig{
+		Index: 0, Plan: plan, Network: transport.TCP{}, Listener: ls[0],
+		Input: iolimit.NewPattern(size, 7),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := sender.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.TotalBytes != uint64(size) || len(report.Failures) != 0 {
+		t.Fatalf("broadcast report: %v", report)
+	}
+	res, err := pending.Wait(ctx)
+	if err != nil || res.Err != "" || res.Bytes != uint64(size) {
+		t.Fatalf("relay result %+v: %v", res, err)
+	}
+	if err := <-tailDone; err != nil {
+		t.Fatalf("tail: %v", err)
+	}
 }
 
 // TestAgentExitsWithoutStderrReader: an agent whose standard error is a
@@ -336,12 +481,7 @@ func TestAgentMidSessionExitsWithoutStderrReader(t *testing.T) {
 	defer pr.Close()
 	agentPid, exited := execTestAgent(t, pw)
 	pw.Close()
-	banner, err := bufio.NewReader(pr).ReadString('\n')
-	_, rest, ok := strings.Cut(banner, "control on ")
-	addr, _, _ := strings.Cut(rest, ",")
-	if err != nil || !ok {
-		t.Fatalf("agent banner %q: %v", banner, err)
-	}
+	addr := readAgentAddr(t, bufio.NewReader(pr))
 	client, err := control.Dial(addr, 5*time.Second, control.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)

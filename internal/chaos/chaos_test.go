@@ -5,6 +5,7 @@ import (
 	"flag"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -221,4 +222,28 @@ func TestByteMarkFires(t *testing.T) {
 	if got := res.Injections[0].Fault.When.Bytes; got != 96<<10 {
 		t.Fatalf("wrong fault fired: mark %d", got)
 	}
+}
+
+// TestTrackRefusedOnceSettled: restarts and joins that fault timers fire
+// while the run settles are either counted before the wait begins or
+// refused, so the WaitGroups never see an Add race their Wait (run under
+// -race) and nothing is counted once the wait has begun.
+func TestTrackRefusedOnceSettled(t *testing.T) {
+	var r runner
+	var timers sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		timers.Add(1)
+		go func() {
+			defer timers.Done()
+			if r.track(&r.rebornWG) {
+				r.rebornWG.Done()
+			}
+		}()
+	}
+	r.settle()
+	r.rebornWG.Wait()
+	if r.track(&r.joinWG) {
+		t.Fatal("a join was counted after the run settled")
+	}
+	timers.Wait()
 }

@@ -220,6 +220,9 @@ type runner struct {
 	joiners      []*joinerRun // schedule order, fired or not
 	injections   []Injection
 	events       []core.TraceEvent
+	// settled is set once the run waits for rebornWG and joinWG; from
+	// then on track counts nothing, since nobody would wait for it.
+	settled bool
 
 	rebornMu sync.Mutex
 	reborn   map[int]*rebornNode
@@ -351,6 +354,7 @@ func RunWithClock(ctx context.Context, sc Scenario, clk core.Clock) *Result {
 	res.Elapsed = time.Since(r.start)
 
 	// Wait for restarted nodes and late joiners to settle.
+	r.settle()
 	rebornDone := make(chan struct{})
 	go func() { r.rebornWG.Wait(); r.joinWG.Wait(); close(rebornDone) }()
 	select {
@@ -366,6 +370,27 @@ func RunWithClock(ctx context.Context, sc Scenario, clk core.Clock) *Result {
 }
 
 func (r *runner) host(i int) string { return fmt.Sprintf("n%d", i+1) }
+
+// track counts one restarted node or joiner in wg, unless the run already
+// waits for them; it reports whether it counted. Fault timers and the
+// trace call it, so it may run at the same time as settle.
+func (r *runner) track(wg *sync.WaitGroup) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.settled {
+		return false
+	}
+	wg.Add(1)
+	return true
+}
+
+// settle refuses every later track, so the waits that follow see only
+// what was already counted.
+func (r *runner) settle() {
+	r.mu.Lock()
+	r.settled = true
+	r.mu.Unlock()
+}
 
 // armSchedule starts wall-clock faults and registers byte-mark faults
 // and joins.
@@ -497,7 +522,12 @@ func (r *runner) onTrace(ev core.TraceEvent) {
 // negotiation does real protocol I/O against the live session, so it
 // must not run on the trace callback.
 func (r *runner) launchJoin(jr *joinerRun) {
-	r.joinWG.Add(1)
+	if !r.track(&r.joinWG) {
+		r.mu.Lock()
+		jr.refused = core.ErrSessionEnded.Error()
+		r.mu.Unlock()
+		return
+	}
 	go func() {
 		defer r.joinWG.Done()
 		h, err := r.sess.Join(r.runCtx, core.JoinConfig{
@@ -595,12 +625,16 @@ func (r *runner) inject(f Fault) {
 // QUIT(excluded) depends on how far detection got — both are valid
 // recoveries that Check accepts.
 func (r *runner) revive(idx int) {
+	if !r.track(&r.rebornWG) {
+		return // the scenario is over; the host stays dead
+	}
 	host := r.host(idx)
 	r.fabric.Revive(host)
 	network := r.fabric.Host(host)
 	l, err := network.Listen(r.sess.Plan.Peers[idx].Addr)
 	if err != nil {
-		return // e.g. the scenario ended and the address namespace is gone
+		r.rebornWG.Done()
+		return // e.g. the address namespace is gone
 	}
 	rb := &rebornNode{sink: newPrefixSink(r.payload, r.clk), done: make(chan struct{})}
 	node, err := core.NewNode(core.NodeConfig{
@@ -613,13 +647,13 @@ func (r *runner) revive(idx int) {
 	})
 	if err != nil {
 		l.Close()
+		r.rebornWG.Done()
 		return
 	}
 	rb.node = node
 	r.rebornMu.Lock()
 	r.reborn[idx] = rb
 	r.rebornMu.Unlock()
-	r.rebornWG.Add(1)
 	go func() {
 		defer r.rebornWG.Done()
 		_, rerr := node.Run(context.Background())

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,6 +150,28 @@ func TestPrepareStartResult(t *testing.T) {
 	}
 	if res.Err != "" || res.Bytes != 1234 {
 		t.Fatalf("result %+v", res)
+	}
+}
+
+// TestStatusReportsMemory: a STATUS reply carries the serving process's
+// collector state: its pacing target, its collections so far, and a heap
+// goal no smaller than the live heap.
+func TestStatusReportsMemory(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(60))
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	h := newHarness(t, core.EngineOptions{}, nil, ClientOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	st, err := h.client.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := st.Memory
+	if m.GCPercent != 60 || m.GCCycles < uint64(ms.NumGC) || m.HeapLive == 0 || m.HeapGoal < m.HeapLive {
+		t.Fatalf("memory %+v, want GOGC 60, at least %d collections and a goal above a live heap", m, ms.NumGC)
 	}
 }
 

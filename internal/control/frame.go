@@ -269,10 +269,28 @@ type SessionStatus struct {
 	LeaseMs int64 `json:"lease_ms"`
 }
 
+// MemoryStats is the agent process's Go heap as the runtime reports it
+// (runtime/metrics), read when the STATUS request arrives.
+type MemoryStats struct {
+	// HeapLive is the heap the last collection marked live
+	// (/gc/heap/live:bytes).
+	HeapLive uint64 `json:"heap_live"`
+	// HeapGoal is the heap size at which the next collection is due to
+	// finish (/gc/heap/goal:bytes).
+	HeapGoal uint64 `json:"heap_goal"`
+	// GCPercent is the collector's pacing target, GOGC
+	// (/gc/gogc:percent); -1 when the collector is off.
+	GCPercent int64 `json:"gc_percent"`
+	// GCCycles counts the collections completed since the process started
+	// (/gc/cycles/total:gc-cycles).
+	GCCycles uint64 `json:"gc_cycles"`
+}
+
 // StatsReply answers FrameStatus.
 type StatsReply struct {
 	Engine   core.EngineStats `json:"engine"`
 	Sessions []SessionStatus  `json:"sessions,omitempty"`
+	Memory   MemoryStats      `json:"memory"`
 }
 
 // ReleaseRequest withdraws one session.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"time"
@@ -339,8 +340,33 @@ func joinErrorMessage(err error) string {
 	return err.Error()
 }
 
+// memorySamples are the runtime/metrics names behind MemoryStats, in field
+// order.
+var memorySamples = [...]string{
+	"/gc/heap/live:bytes",
+	"/gc/heap/goal:bytes",
+	"/gc/gogc:percent",
+	"/gc/cycles/total:gc-cycles",
+}
+
+// readMemoryStats samples the process's heap. Every name is a Uint64
+// metric since go 1.21, below this module's go line.
+func readMemoryStats() MemoryStats {
+	var s [len(memorySamples)]metrics.Sample
+	for i, name := range memorySamples {
+		s[i].Name = name
+	}
+	metrics.Read(s[:])
+	return MemoryStats{
+		HeapLive:  s[0].Value.Uint64(),
+		HeapGoal:  s[1].Value.Uint64(),
+		GCPercent: int64(s[2].Value.Uint64()), // the runtime stores GOGC=off as -1
+		GCCycles:  s[3].Value.Uint64(),
+	}
+}
+
 func (sc *serverConn) handleStatus(f frame) {
-	rep := StatsReply{Engine: sc.s.Engine.Stats()}
+	rep := StatsReply{Engine: sc.s.Engine.Stats(), Memory: readMemoryStats()}
 	now := sc.clk.Now()
 	sc.mu.Lock()
 	for _, cs := range sc.sessions {
