@@ -322,7 +322,7 @@ func runChaosBench(seed int64, path string) error {
 			row.OK = false
 			row.CheckErr = err.Error()
 			failures++
-			fmt.Fprintf(os.Stderr, "FAIL %s: %v\n%s\n", res.Scenario.Name, err, res.Scenario.Repro(seed))
+			fmt.Fprintf(os.Stderr, "FAIL %s: %v\n%s\n", res.Scenario.Name, err, res.Scenario.Repro("./internal/chaos", "TestChaosMatrix/"+res.Scenario.Name, fmt.Sprintf("-chaos.seed=%d", seed)))
 		}
 		fmt.Printf("%-28s nodes=%-3d faults=%d ok=%-5v %8.0f ms  detect p50 %6.1f ms  resume p50 %6.1f ms\n",
 			row.Name, row.Nodes, row.Faults, row.OK, row.ElapsedMs, row.DetectMs.P50, row.ResumeMs.P50)

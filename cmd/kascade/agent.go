@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -29,41 +28,13 @@ import (
 // until budget frees on a session end, or refused with a typed error the
 // sender can match on.
 //
-// Legacy v1 dialers — one JSON blob per message, one connection per
-// session, connection-open as the liveness signal — are detected by their
-// first byte ('{' versus the frame magic) and served unchanged on the
-// same port.
-//
 // One agent process carries any number of concurrent sessions: a single
 // core.Engine owns the one advertised data port, routes inbound
 // connections by the session ID in their HELLO, and accounts every
-// session's chunk pool against a global memory budget. v1 senders all
-// share the default session 0, so a v1 sender is limited to one broadcast
-// at a time per agent (the engine refuses a second session-0 registration
-// with a descriptive error).
+// session's chunk pool against a global memory budget.
 
-// sinkSpec is the v1 JSON name for the control sink description; the
-// framed protocol carries the identical shape.
+// sinkSpec is the control plane's sink description.
 type sinkSpec = control.SinkSpec
-
-// ctrlRequest is one legacy v1 control message (sender → agent).
-type ctrlRequest struct {
-	Op      string         `json:"op"` // "prepare" | "start"
-	Index   int            `json:"index,omitempty"`
-	Session core.SessionID `json:"session,omitempty"`
-	Peers   []core.Peer    `json:"peers,omitempty"`
-	Opts    core.Options   `json:"opts,omitempty"`
-	Output  sinkSpec       `json:"output,omitempty"`
-}
-
-// ctrlResponse is one legacy v1 control message (agent → sender).
-type ctrlResponse struct {
-	Op       string       `json:"op"` // "prepared" | "result"
-	DataAddr string       `json:"data_addr,omitempty"`
-	Err      string       `json:"err,omitempty"`
-	Report   *core.Report `json:"report,omitempty"`
-	Bytes    uint64       `json:"bytes,omitempty"`
-}
 
 // agent is one agent process's serving state: the shared data-plane
 // engine and the control server in front of it.
@@ -72,9 +43,9 @@ type agent struct {
 	advertise string
 	srv       *control.Server
 
-	// ctrlConns counts control connections currently open, v1 and framed
-	// alike — the multiplexing invariant (one per sender, however many
-	// sessions) is asserted on it in tests.
+	// ctrlConns counts control connections currently open — the
+	// multiplexing invariant (one per sender, however many sessions) is
+	// asserted on it in tests.
 	ctrlConns atomic.Int64
 	// ctrlConnsTotal counts control connections ever accepted.
 	ctrlConnsTotal atomic.Int64
@@ -113,22 +84,18 @@ func (a *agent) serve(l net.Listener) error {
 	}
 }
 
-// serveConn sniffs the first byte of a fresh control connection: the
-// frame magic selects the multiplexed protocol, '{' a legacy v1 dialer.
+// serveConn checks the first byte of a fresh control connection: only the
+// frame magic opens the multiplexed protocol.
 func (a *agent) serveConn(conn net.Conn) error {
 	br := bufio.NewReader(conn)
 	first, err := br.Peek(1)
 	if err != nil {
 		return nil // dialer went away before speaking
 	}
-	switch first[0] {
-	case control.Magic:
-		return a.srv.ServeConn(conn, br)
-	case '{':
-		return a.serveV1(conn, br)
-	default:
+	if first[0] != control.Magic {
 		return fmt.Errorf("unknown control protocol (first byte 0x%02x)", first[0])
 	}
+	return a.srv.ServeConn(conn, br)
 }
 
 // runSession executes one framed-control session to completion: realise
@@ -166,7 +133,7 @@ func (a *agent) runSession(ctx context.Context, req control.StartRequest) contro
 // runs, so the control server can send the interim JOINED reply.
 func (a *agent) joinSession(ctx context.Context, req control.JoinRequest, grafted func(control.JoinedReply)) (control.ResultReply, error) {
 	if req.Session == 0 {
-		return control.ResultReply{}, core.ErrJoinRefused("late join needs a real session ID (v1 session 0 cannot be joined)")
+		return control.ResultReply{}, core.ErrJoinRefused("late join needs a real session ID (session 0 cannot be joined)")
 	}
 	// An agent that is already a member cannot also host the joiner: the
 	// engine routes data connections by session ID, so a second node of
@@ -236,41 +203,6 @@ func (a *agent) joinSession(ctx context.Context, req control.JoinRequest, grafte
 		resp.Err = runErr.Error()
 	}
 	return resp, nil
-}
-
-// serveV1 handles one legacy prepare/start exchange — one session per
-// connection, liveness by connection-open — exactly as pre-framing
-// senders expect.
-func (a *agent) serveV1(conn net.Conn, br *bufio.Reader) error {
-	dec := json.NewDecoder(br)
-	enc := json.NewEncoder(conn)
-
-	var req ctrlRequest
-	if err := dec.Decode(&req); err != nil {
-		return err
-	}
-	if req.Op != "prepare" {
-		return fmt.Errorf("expected prepare, got %q", req.Op)
-	}
-	dataAddr := advertiseAddr(a.engine.Addr(), conn, a.advertise)
-	if err := enc.Encode(ctrlResponse{Op: "prepared", DataAddr: dataAddr}); err != nil {
-		return err
-	}
-
-	if err := dec.Decode(&req); err != nil {
-		return err
-	}
-	if req.Op != "start" {
-		return fmt.Errorf("expected start, got %q", req.Op)
-	}
-	res := a.runSession(context.Background(), control.StartRequest{
-		Session: req.Session,
-		Index:   req.Index,
-		Peers:   req.Peers,
-		Opts:    req.Opts,
-		Output:  req.Output,
-	})
-	return enc.Encode(ctrlResponse{Op: "result", Err: res.Err, Report: res.Report, Bytes: res.Bytes})
 }
 
 // runAgent serves broadcast sessions forever on the control address. All

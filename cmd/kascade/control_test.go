@@ -3,9 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -87,13 +87,13 @@ func broadcastThrough(ctx context.Context, client *control.Client, sid core.Sess
 		return nil, nil, fmt.Errorf("prepare: %w", err)
 	}
 
-	rootListener, err := transport.TCP{}.Listen("127.0.0.1:0")
+	rootEngine, err := core.NewSessionEngine(transport.TCP{}, "127.0.0.1:0", opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer rootListener.Close()
+	defer rootEngine.Close()
 	peers := []core.Peer{
-		{Name: "sender", Addr: rootListener.Addr()},
+		{Name: "sender", Addr: rootEngine.Addr()},
 		{Name: fmt.Sprintf("agent-%d", sid), Addr: rep.DataAddr},
 	}
 	pending, err := client.Start(control.StartRequest{
@@ -107,7 +107,7 @@ func broadcastThrough(ctx context.Context, client *control.Client, sid core.Sess
 		Index:     0,
 		Plan:      core.Plan{Peers: peers, Opts: opts, Session: sid},
 		Network:   transport.TCP{},
-		Listener:  rootListener,
+		Engine:    rootEngine,
 		InputFile: bytes.NewReader(payload),
 		InputSize: int64(len(payload)),
 	})
@@ -169,80 +169,21 @@ func TestControlMux16SessionsOneConnection(t *testing.T) {
 	}
 }
 
-// TestControlV1DialerCompat speaks the legacy one-JSON-blob-per-session
-// protocol at a framed-era agent: first-byte detection must route it to
-// the v1 path and the broadcast must complete bit-perfect.
-func TestControlV1DialerCompat(t *testing.T) {
+// TestControlRejectsUnknownProtocol: a control connection that does not
+// open with the frame magic, such as a JSON object, is closed unanswered.
+func TestControlRejectsUnknownProtocol(t *testing.T) {
 	_, addr := startTestAgent(t, core.EngineOptions{}, 0)
-	payload := make([]byte, 300<<10)
-	iolimit.NewPattern(int64(len(payload)), 3).Read(payload)
-	out := filepath.Join(t.TempDir(), "v1-out")
-
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
-
-	if err := enc.Encode(ctrlRequest{Op: "prepare"}); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"prepare"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	var resp ctrlResponse
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Time{})
-	if resp.Op != "prepared" || resp.DataAddr == "" {
-		t.Fatalf("v1 prepare response: %+v", resp)
-	}
-
-	opts := testProtoOptions()
-	rootListener, err := transport.TCP{}.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rootListener.Close()
-	peers := []core.Peer{
-		{Name: "sender", Addr: rootListener.Addr()},
-		{Name: "v1-agent", Addr: resp.DataAddr},
-	}
-	// A v1 sender predates session IDs: session 0 on the wire.
-	if err := enc.Encode(ctrlRequest{Op: "start", Index: 1, Peers: peers, Opts: opts, Output: sinkSpec{Path: out}}); err != nil {
-		t.Fatal(err)
-	}
-	node, err := core.NewNode(core.NodeConfig{
-		Index:     0,
-		Plan:      core.Plan{Peers: peers, Opts: opts},
-		Network:   transport.TCP{},
-		Listener:  rootListener,
-		InputFile: bytes.NewReader(payload),
-		InputSize: int64(len(payload)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := node.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Failures) != 0 {
-		t.Fatalf("v1 broadcast failures: %v", report)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Op != "result" || resp.Err != "" || resp.Bytes != uint64(len(payload)) {
-		t.Fatalf("v1 result: %+v", resp)
-	}
-	got, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("v1 sink corrupted: %d of %d bytes", len(got), len(payload))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after a JSON opener: %d bytes, %v; want the connection closed", n, err)
 	}
 }
 
@@ -300,13 +241,13 @@ func TestControlJoinLiveBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootListener, err := transport.TCP{}.Listen("127.0.0.1:0")
+	rootEngine, err := core.NewSessionEngine(transport.TCP{}, "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rootListener.Close()
+	defer rootEngine.Close()
 	peers := []core.Peer{
-		{Name: "sender", Addr: rootListener.Addr()},
+		{Name: "sender", Addr: rootEngine.Addr()},
 		{Name: "agent-a", Addr: rep.DataAddr},
 	}
 	pendingA, err := clientA.Start(control.StartRequest{
@@ -322,7 +263,7 @@ func TestControlJoinLiveBroadcast(t *testing.T) {
 		Index:     0,
 		Plan:      core.Plan{Peers: peers, Opts: opts, Session: sid, Topology: topology},
 		Network:   transport.TCP{},
-		Listener:  rootListener,
+		Engine:    rootEngine,
 		InputFile: gate,
 		InputSize: int64(len(payload)),
 	})
@@ -344,7 +285,7 @@ func TestControlJoinLiveBroadcast(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	joined, pendingB, err := clientB.Join(ctx, control.JoinRequest{
 		Session:    sid,
-		SenderAddr: rootListener.Addr(),
+		SenderAddr: rootEngine.Addr(),
 		Name:       "late",
 		Output:     sinkSpec{Path: outB},
 	})

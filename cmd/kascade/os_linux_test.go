@@ -379,24 +379,24 @@ func relayThrough(t *testing.T, client *control.Client, size int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ls [2]transport.Listener
-	for i := range ls {
-		if ls[i], err = (transport.TCP{}).Listen("127.0.0.1:0"); err != nil {
+	var es [2]*core.Engine
+	for i := range es {
+		if es[i], err = core.NewSessionEngine(transport.TCP{}, "127.0.0.1:0", opts); err != nil {
 			t.Fatal(err)
 		}
-		defer ls[i].Close()
+		defer es[i].Close()
 	}
 	peers := []core.Peer{
-		{Name: "sender", Addr: ls[0].Addr()},
+		{Name: "sender", Addr: es[0].Addr()},
 		{Name: "relay", Addr: rep.DataAddr},
-		{Name: "tail", Addr: ls[1].Addr()},
+		{Name: "tail", Addr: es[1].Addr()},
 	}
 	plan := core.Plan{Peers: peers, Opts: opts, Session: sid}
 	pending, err := client.Start(control.StartRequest{Session: sid, Index: 1, Peers: peers, Opts: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, err := core.NewNode(core.NodeConfig{Index: 2, Plan: plan, Network: transport.TCP{}, Listener: ls[1]})
+	tail, err := core.NewNode(core.NodeConfig{Index: 2, Plan: plan, Network: transport.TCP{}, Engine: es[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func relayThrough(t *testing.T, client *control.Client, size int64) {
 		tailDone <- err
 	}()
 	sender, err := core.NewNode(core.NodeConfig{
-		Index: 0, Plan: plan, Network: transport.TCP{}, Listener: ls[0],
+		Index: 0, Plan: plan, Network: transport.TCP{}, Engine: es[0],
 		Input: iolimit.NewPattern(size, 7),
 	})
 	if err != nil {
@@ -496,12 +496,12 @@ func TestAgentMidSessionExitsWithoutStderrReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootListener, err := transport.TCP{}.Listen("127.0.0.1:0")
+	rootEngine, err := core.NewSessionEngine(transport.TCP{}, "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rootListener.Close()
-	peers := []core.Peer{{Name: "sender", Addr: rootListener.Addr()}, {Name: "agent", Addr: rep.DataAddr}}
+	defer rootEngine.Close()
+	peers := []core.Peer{{Name: "sender", Addr: rootEngine.Addr()}, {Name: "agent", Addr: rep.DataAddr}}
 	pidFile := filepath.Join(t.TempDir(), "sink.pid")
 	if _, err := client.Start(control.StartRequest{
 		Session: sid, Index: 1, Peers: peers, Opts: opts,
@@ -515,7 +515,7 @@ func TestAgentMidSessionExitsWithoutStderrReader(t *testing.T) {
 	defer feed.Close()
 	node, err := core.NewNode(core.NodeConfig{
 		Index: 0, Plan: core.Plan{Peers: peers, Opts: opts, Session: sid},
-		Network: transport.TCP{}, Listener: rootListener, Input: in,
+		Network: transport.TCP{}, Engine: rootEngine, Input: in,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -101,13 +101,14 @@ func runRoot(o rootOptions) (*core.Report, error) {
 		}
 	}
 
-	// Phase 2: bind the sender's own data listener and assemble the plan.
-	rootListener, err := transport.TCP{}.Listen(o.listen)
+	// Phase 2: bind the sender's own engine and assemble the plan. Node 0
+	// runs on a private engine, as every agent node runs on its agent's.
+	engine, err := core.NewSessionEngine(transport.TCP{}, o.listen, opts)
 	if err != nil {
 		return nil, fmt.Errorf("binding sender address: %w", err)
 	}
-	defer rootListener.Close()
-	peers := []core.Peer{{Name: "sender", Addr: rootListener.Addr()}}
+	defer engine.Close()
+	peers := []core.Peer{{Name: "sender", Addr: engine.Addr()}}
 	for _, h := range handles {
 		peers = append(peers, core.Peer{Name: h.name, Addr: h.dataAddr})
 	}
@@ -134,10 +135,10 @@ func runRoot(o rootOptions) (*core.Report, error) {
 
 	// Phase 4: run the sender node on the input.
 	nc := core.NodeConfig{
-		Index:    0,
-		Plan:     plan,
-		Network:  transport.TCP{},
-		Listener: rootListener,
+		Index:   0,
+		Plan:    plan,
+		Network: transport.TCP{},
+		Engine:  engine,
 	}
 	if o.input == "-" {
 		nc.Input = os.Stdin
@@ -163,16 +164,15 @@ func runRoot(o rootOptions) (*core.Report, error) {
 		// re-ranking machinery) and a file-backed sender (catch-up ranges
 		// are served from it); print the coordinates joiners need.
 		fmt.Fprintf(os.Stderr, "kascade: accepting late joiners: kascade join -sender %s -session %d -agent <agent:port>\n",
-			rootListener.Addr(), session)
+			engine.Addr(), session)
 	}
 	start := time.Now()
 	report, runErr := node.Run(ctx)
 	elapsed := time.Since(start)
 
 	// Phase 5: gather agent results (best effort: dead agents are in the
-	// report already). Each agent gets its own window, as the per-conn
-	// read deadlines of the v1 protocol did — one slow agent must not
-	// consume the budget of everyone behind it.
+	// report already). Each agent gets its own window: one slow agent must
+	// not consume the budget of everyone behind it.
 	for _, h := range handles {
 		if h.pending == nil {
 			continue

@@ -15,6 +15,7 @@ package chaos
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"time"
 )
@@ -247,12 +248,26 @@ func (sc Scenario) Schedule() string {
 	return strings.Join(lines, "\n")
 }
 
-// Repro returns the one-command reproduction recipe plus the schedule, for
-// failure messages.
-func (sc Scenario) Repro(seed int64) string {
+// Repro returns the command that reruns the failing case, then the
+// schedule, for failure messages. pkg is the package of the test that ran
+// the scenario, test that test's t.Name(), and flags whatever else the case
+// needs, such as "-chaos.seed=1".
+func (sc Scenario) Repro(pkg, test string, flags ...string) string {
+	cmd := append([]string{"go test", pkg, "-race -run", "'" + RunPattern(test) + "'"}, flags...)
 	return fmt.Sprintf(
-		"reproduce: go test ./internal/chaos -race -run 'TestChaosMatrix/%s' -chaos.seed=%d\nschedule (%d nodes, %d B payload, %d B chunks, window %d, stream=%v):\n%s",
-		sc.Name, seed, sc.Nodes, sc.PayloadSize, sc.ChunkSize, sc.WindowChunks, sc.Stream, sc.Schedule())
+		"reproduce: %s\nschedule (%d nodes, %d B payload, %d B chunks, window %d, stream=%v):\n%s",
+		strings.Join(cmd, " "), sc.Nodes, sc.PayloadSize, sc.ChunkSize, sc.WindowChunks, sc.Stream, sc.Schedule())
+}
+
+// RunPattern returns the go test -run pattern that selects exactly the
+// test named name, as t.Name() prints it: each slash-separated element,
+// one level of subtests, is matched whole and literally.
+func RunPattern(name string) string {
+	elems := strings.Split(name, "/")
+	for i, e := range elems {
+		elems[i] = "^" + regexp.QuoteMeta(e) + "$"
+	}
+	return strings.Join(elems, "/")
 }
 
 // victims returns the distinct fault targets, in schedule order.

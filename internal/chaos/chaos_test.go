@@ -3,7 +3,9 @@ package chaos
 import (
 	"context"
 	"flag"
+	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -31,9 +33,77 @@ func TestChaosMatrix(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			res := Run(context.Background(), sc)
 			if err := Check(res); err != nil {
-				t.Fatalf("%v\n%s", err, sc.Repro(*chaosSeed))
+				t.Fatalf("%v\n%s", err, repro(t, sc))
 			}
 		})
+	}
+}
+
+// repro is the failure footer of scenario sc run by the test t.
+func repro(t *testing.T, sc Scenario) string {
+	return sc.Repro("./internal/chaos", t.Name(), fmt.Sprintf("-chaos.seed=%d", *chaosSeed))
+}
+
+// TestReproSelectsTheFailingTest checks that the -run pattern a failure
+// prints selects the test that printed it, one subtest level at a time as
+// go test matches, and not its siblings.
+func TestReproSelectsTheFailingTest(t *testing.T) {
+	t.Run("rerank-prop/n=12/k=3/victim=3", func(t *testing.T) {
+		line := strings.SplitN(repro(t, Scenario{}), "\n", 2)[0]
+		const pre = "reproduce: go test ./internal/chaos -race -run '"
+		if !strings.HasPrefix(line, pre) || !strings.HasSuffix(line, fmt.Sprintf("' -chaos.seed=%d", *chaosSeed)) {
+			t.Fatalf("repro line %q", line)
+		}
+		pattern := strings.TrimSuffix(strings.TrimPrefix(line, pre), fmt.Sprintf("' -chaos.seed=%d", *chaosSeed))
+		selects := func(name string) bool {
+			pats, elems := strings.Split(pattern, "/"), strings.Split(name, "/")
+			if len(pats) != len(elems) {
+				return false
+			}
+			for i, p := range pats {
+				if !regexp.MustCompile(p).MatchString(elems[i]) {
+					return false
+				}
+			}
+			return true
+		}
+		if !selects(t.Name()) {
+			t.Fatalf("pattern %q does not select %q", pattern, t.Name())
+		}
+		for _, sibling := range []string{
+			"TestReproSelectsTheFailingTest/rerank-prop/n=12/k=3/victim=31",
+			"TestReproSelectsTheFailingTest/rerank-prop/n=1/k=3/victim=3",
+			"TestChaosMatrix/rerank-prop/n=12/k=3/victim=3",
+		} {
+			if selects(sibling) {
+				t.Fatalf("pattern %q also selects %q", pattern, sibling)
+			}
+		}
+	})
+}
+
+// TestBudgetOverrunCarriesStacks checks that a scenario overrunning its
+// budget fails with every goroutine's stack attached.
+func TestBudgetOverrunCarriesStacks(t *testing.T) {
+	shape := DefaultShape(3)
+	sc := Scenario{
+		Name:         "budget-overrun",
+		Nodes:        3,
+		PayloadSize:  shape.PayloadSize,
+		ChunkSize:    shape.ChunkSize,
+		WindowChunks: shape.WindowChunks,
+		LinkRate:     shape.LinkRate,
+		Timeout:      time.Millisecond,
+	}
+	res := Run(context.Background(), sc)
+	err := Check(res)
+	if err == nil {
+		t.Fatal("a 1 ms budget was met")
+	}
+	for _, want := range []string{"exceeded its 1ms budget", "goroutine ", "kascade/internal/core."} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("failure lacks %q:\n%.2000s", want, err)
+		}
 	}
 }
 

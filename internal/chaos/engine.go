@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -341,13 +342,15 @@ func RunWithClock(ctx context.Context, sc Scenario, clk core.Clock) *Result {
 	case sres = <-done:
 	case <-time.After(sc.Timeout):
 		// Bounded recovery violated: ask for a graceful QUIT, then give
-		// the epilogue a short grace before declaring the run hung.
-		res.Err = fmt.Sprintf("scenario exceeded its %v budget", sc.Timeout)
+		// the epilogue a short grace before declaring the run hung. The
+		// stacks show where the run was when the budget ran out.
+		stacks := goroutineStacks()
+		res.Err = fmt.Sprintf("scenario exceeded its %v budget; goroutines at the deadline:\n%s", sc.Timeout, stacks)
 		cancel()
 		select {
 		case sres = <-done:
 		case <-time.After(10 * time.Second):
-			res.Err = "scenario hung past budget + grace; nodes leaked"
+			res.Err = "scenario hung past budget + grace; nodes leaked; goroutines at the deadline:\n" + stacks
 			return res
 		}
 	}
@@ -370,6 +373,21 @@ func RunWithClock(ctx context.Context, sc Scenario, clk core.Clock) *Result {
 }
 
 func (r *runner) host(i int) string { return fmt.Sprintf("n%d", i+1) }
+
+// maxStacks caps the goroutine dump attached to a budget overrun.
+const maxStacks = 8 << 20
+
+// goroutineStacks returns every goroutine's stack, up to maxStacks bytes.
+func goroutineStacks() string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) || len(buf) >= maxStacks {
+			return string(buf[:n])
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
 
 // track counts one restarted node or joiner in wg, unless the run already
 // waits for them; it reports whether it counted. Fault timers and the
@@ -619,8 +637,8 @@ func (r *runner) inject(f Fault) {
 }
 
 // revive brings a crashed host back as a fresh node in the same pipeline
-// slot: the fabric host returns, a new listener binds the old address, and
-// a brand-new engine instance re-runs index Victim. Whether the pipeline
+// slot: the fabric host returns, a private engine binds the old address,
+// and a brand-new node on it re-runs index Victim. Whether the pipeline
 // re-adopts it (FORGET → gap fetch from the sender) or turns it away with
 // QUIT(excluded) depends on how far detection got — both are valid
 // recoveries that Check accepts.
@@ -631,22 +649,22 @@ func (r *runner) revive(idx int) {
 	host := r.host(idx)
 	r.fabric.Revive(host)
 	network := r.fabric.Host(host)
-	l, err := network.Listen(r.sess.Plan.Peers[idx].Addr)
+	engine, err := core.NewSessionEngine(network, r.sess.Plan.Peers[idx].Addr, r.sess.Plan.Opts)
 	if err != nil {
 		r.rebornWG.Done()
 		return // e.g. the address namespace is gone
 	}
 	rb := &rebornNode{sink: newPrefixSink(r.payload, r.clk), done: make(chan struct{})}
 	node, err := core.NewNode(core.NodeConfig{
-		Index:    idx,
-		Plan:     r.sess.Plan,
-		Network:  network,
-		Listener: l,
-		Sink:     rb.sink,
-		Trace:    r.onTrace,
+		Index:   idx,
+		Plan:    r.sess.Plan,
+		Network: network,
+		Engine:  engine,
+		Sink:    rb.sink,
+		Trace:   r.onTrace,
 	})
 	if err != nil {
-		l.Close()
+		engine.Close()
 		r.rebornWG.Done()
 		return
 	}
@@ -656,6 +674,7 @@ func (r *runner) revive(idx int) {
 	r.rebornMu.Unlock()
 	go func() {
 		defer r.rebornWG.Done()
+		defer engine.Close()
 		_, rerr := node.Run(context.Background())
 		rb.err = rerr
 		close(rb.done)

@@ -41,7 +41,7 @@ func TestJoinWaveDirect(t *testing.T) {
 	}
 	res := Run(context.Background(), sc)
 	if err := Check(res); err != nil {
-		t.Fatalf("%v\n%s", err, sc.Repro(0))
+		t.Fatalf("%v\n%s", err, repro(t, sc))
 	}
 	if len(res.Joins) != 2 {
 		t.Fatalf("want 2 join outcomes, got %+v", res.Joins)
@@ -84,7 +84,7 @@ func TestJoinCrashMidCatchUp(t *testing.T) {
 	}
 	res := Run(context.Background(), sc)
 	if err := Check(res); err != nil {
-		t.Fatalf("%v\n%s", err, sc.Repro(0))
+		t.Fatalf("%v\n%s", err, repro(t, sc))
 	}
 	j := res.Joins[0]
 	if !j.Grafted {

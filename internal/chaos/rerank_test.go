@@ -58,11 +58,11 @@ func TestRerankDemotionProperty(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			res := Run(context.Background(), sc)
 			if err := Check(res); err != nil {
-				t.Fatalf("%v\n%s", err, sc.Repro(*chaosSeed))
+				t.Fatalf("%v\n%s", err, repro(t, sc))
 			}
 			if len(res.Report.Failures) != 0 {
 				t.Fatalf("a throttled node must be re-ranked, not failed: %v\n%s",
-					res.Report, sc.Repro(*chaosSeed))
+					res.Report, repro(t, sc))
 			}
 			slot := -1
 			for s, occ := range res.FinalView {
@@ -72,11 +72,11 @@ func TestRerankDemotionProperty(t *testing.T) {
 			}
 			if slot < 0 {
 				t.Fatalf("victim %d missing from the final view %v\n%s",
-					victim, res.FinalView, sc.Repro(*chaosSeed))
+					victim, res.FinalView, repro(t, sc))
 			}
 			if k*slot+1 < n {
 				t.Fatalf("victim %d still interior at slot %d of the final view %v (%d migrations)\n%s",
-					victim, slot, res.FinalView, res.Migrations, sc.Repro(*chaosSeed))
+					victim, slot, res.FinalView, res.Migrations, repro(t, sc))
 			}
 		})
 	}

@@ -46,17 +46,17 @@ func TestTreeCrashProperty(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			res := Run(context.Background(), sc)
 			if err := Check(res); err != nil {
-				t.Fatalf("%v\n%s", err, sc.Repro(*chaosSeed))
+				t.Fatalf("%v\n%s", err, repro(t, sc))
 			}
 			if !res.Report.Failed(victim) {
-				t.Fatalf("report does not name the victim %d: %v\n%s", victim, res.Report, sc.Repro(*chaosSeed))
+				t.Fatalf("report does not name the victim %d: %v\n%s", victim, res.Report, repro(t, sc))
 			}
 			for _, out := range res.Outcomes {
 				if out.Index == 0 || out.Index == victim {
 					continue
 				}
 				if !out.Complete {
-					t.Fatalf("survivor %d incomplete: %+v\n%s", out.Index, out, sc.Repro(*chaosSeed))
+					t.Fatalf("survivor %d incomplete: %+v\n%s", out.Index, out, repro(t, sc))
 				}
 			}
 		})

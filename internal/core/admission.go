@@ -189,7 +189,7 @@ func (e *Engine) AdmitClass(sid SessionID, reservation int64, class string) *Tic
 	case e.closed:
 		return refuse("engine is closed")
 	case sid == 0:
-		return refuse("the default (v1) session cannot be admitted explicitly")
+		return refuse("session 0 is the unnamed session of a private engine and cannot be admitted explicitly")
 	case reservation <= 0:
 		return refuse(fmt.Sprintf("non-positive reservation %d B", reservation))
 	case e.isKnownLocked(sid):
@@ -197,6 +197,8 @@ func (e *Engine) AdmitClass(sid SessionID, reservation int64, class string) *Tic
 	case reservation > e.opts.MemBudget:
 		return refuse(fmt.Sprintf("reservation of %d B exceeds the engine budget of %d B", reservation, e.opts.MemBudget))
 	}
+	// The session is coming (back): its early connections park again.
+	e.unretireLocked(sid)
 
 	// No bypass of the pump: while anyone is queued, newcomers queue
 	// behind them even if their smaller reservation would fit right now —

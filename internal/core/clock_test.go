@@ -52,12 +52,15 @@ func TestInjectedClockDrivesUpstreamIdleTimeout(t *testing.T) {
 	opts.UpstreamIdleTimeout = time.Hour
 	plan := Plan{Peers: env.peers, Opts: opts}
 
+	// The engine keeps the system clock: only the node's own waits may
+	// park on the fake one.
 	net2 := env.fabric.Host("n2")
-	l, err := net2.Listen(env.peers[1].Addr)
+	e, err := NewEngine(net2, env.peers[1].Addr, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(NodeConfig{Index: 1, Plan: plan, Network: net2, Listener: l})
+	defer e.Close()
+	n, err := NewNode(NodeConfig{Index: 1, Plan: plan, Network: net2, Engine: e})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,17 +66,19 @@ func (n *Node) readData(w *wire) (c *chunk, size int, err error) {
 // the sink write. A nil c is a leaf's payload held whole by its stage,
 // which moves it into the sink.
 //
-// A chain relay forwards cut-through. When the chunk woke exactly one
-// consumer parked in ChunkAt, that consumer is the relay's idle
-// forwarder, and ingest yields its processor after the sink write, so the
-// chunk leaves for the successor before the next frame is read. Without
-// the yield the runtime queues the woken forwarder behind this goroutine,
-// which does not block while its upstream's batch is still in the pipe:
-// the relay would ingest the whole batch first. A busy forwarder is not
-// parked and keeps coalescing. A tree relay that woke several forwarders
-// does not yield: a tree already keeps the cores busy, and per-chunk
-// trips through the run queue only cost it CPU. Engine-attached sessions
-// forward through the scheduler and never park in ChunkAt.
+// A relay forwards cut-through. When the chunk woke exactly one idle
+// consumer, that consumer is the relay's forwarder, and ingest yields its
+// processor after the sink write, so the chunk leaves for the successor
+// before the next frame is read. On a chain the forwarder holds a
+// scheduler seat, and it is idle when the seat's notify waited for the
+// first byte: the yield lets the engine's worker claim the chunk and hand
+// it over. Without the yield the runtime queues the woken goroutine behind
+// this one, which does not block while its upstream's batch is still in
+// the pipe: the relay would ingest the whole batch first. A busy
+// forwarder, or a seat armed at a full quantum, keeps batching. A tree
+// relay that woke several forwarders parked in ChunkAt does not yield: a
+// tree already keeps the cores busy, and per-chunk trips through the run
+// queue only cost it CPU.
 func (n *Node) ingest(c *chunk, size int) error {
 	if c == nil {
 		if err := n.ws.tally(uint64(size)); err != nil {

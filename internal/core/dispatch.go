@@ -3,49 +3,15 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"kascade/internal/transport"
 )
 
-// This file is the node's accept side: connection dispatch for nodes that
-// own their listener, and the role-dispatch entry point (handleWire) that
-// both that path and the shared Engine route through — ping answering,
-// upstream adoption, fetch serving, and ring-report collection.
-
-// acceptLoop serves the node's dedicated listener. Engine-attached nodes
-// have no accept loop of their own: the engine parses the HELLO and calls
-// handleWire directly.
-func (n *Node) acceptLoop() {
-	for {
-		c, err := n.cfg.Listener.Accept()
-		if err != nil {
-			// Listener gone: host killed or shutting down. If the
-			// node is still mid-transfer this is fatal for it.
-			n.listenerFailed(err)
-			return
-		}
-		go n.handleConn(c)
-	}
-}
-
-// handleConn parses the opening HELLO (v1 or v2) of one inbound connection
-// on the node's own listener. A v1 dialer is always accepted (the node is
-// the only session behind this listener); a v2 dialer must name this
-// node's session — mismatches are routing errors and are dropped.
-func (n *Node) handleConn(c transport.Conn) {
-	w := n.newWire(c)
-	w.setReadDeadlineIn(n.opts.GetTimeout)
-	role, from, sid, err := w.readHelloAny()
-	if err != nil || (sid != 0 && sid != n.sid) {
-		_ = w.close()
-		return
-	}
-	n.handleWire(w, role, from)
-}
+// This file is the node's accept side: handleWire, the role-dispatch entry
+// point the node's Engine routes each inbound connection through once its
+// HELLO names this node's session — ping answering, upstream adoption,
+// fetch serving, and ring-report collection.
 
 // handleWire adopts one inbound connection whose HELLO is already parsed.
-// It is the connHandler entry point the shared Engine routes through, and
-// the tail of handleConn for nodes owning their listener.
+// It is the connHandler entry point of the Engine's accept path.
 func (n *Node) handleWire(w *wire, role Role, from int) {
 	w.now = n.clk.Now
 	switch role {

@@ -322,9 +322,9 @@ func (n *Node) serveSuccessor(ctx context.Context, succ int, cur *childCursor, q
 	conn, err := n.dialPeer(peer.Addr)
 	if err != nil {
 		if quiet || n.rerankFinished(succ) {
-			// Finished nodes close their listener; a refused dial to one
-			// whose ring spoke already landed at node 0 is a completed
-			// lifecycle, not a death.
+			// A finished node's engine may close with it; a refused dial
+			// to one whose ring spoke already landed at node 0 is a
+			// completed lifecycle, not a death.
 			return outcomeDead, nil
 		}
 		n.recordFailure(succ, fmt.Sprintf("dial failed: %v", err), n.st.Head())
@@ -340,7 +340,7 @@ func (n *Node) serveSuccessor(ctx context.Context, succ int, cur *childCursor, q
 	}
 	defer w.close()
 
-	if werr := w.writeHelloFor(RoleData, n.cfg.Index, n.sid); werr != nil {
+	if werr := w.writeHello(RoleData, n.cfg.Index, n.sid); werr != nil {
 		return n.classifyConnErr(ctx, werr, succ, peer.Addr, quiet)
 	}
 	var sentView uint64
@@ -498,16 +498,16 @@ streamLoop:
 }
 
 // nextBatch produces the next forwardable chunk batch starting at off.
-// Engine-attached nodes park here until the engine's weighted scheduler
-// hands them a turn — a claimed chunk batch, or the store's terminal
+// A seated chain node parks here until the engine's weighted scheduler
+// hands it a turn — a claimed chunk batch, or the store's terminal
 // condition — so a host full of overlapping sessions wakes each forwarder
-// once per batch instead of once per chunk. Nodes owning their listener
-// (and sessions whose engine shut down mid-stream) park in the store's
-// ChunkAt and coalesce whatever is buffered behind the first chunk. On a
-// chain relay the lone parked forwarder is handed the processor as each
-// chunk lands (Node.ingest), so an idle successor gets one chunk per
-// write and a lagging one gets a batch. The returned chunks are retained;
-// the caller releases them after the write.
+// once per batch instead of once per chunk. Tree relays (and sessions
+// whose engine shut down mid-stream) park in the store's ChunkAt and
+// coalesce whatever is buffered behind the first chunk. Either way an
+// idle forwarder is handed the processor as each chunk lands (Node.ingest),
+// so an idle successor gets one chunk per write and a lagging one gets a
+// batch. The returned chunks are retained; the caller releases them after
+// the write.
 func (n *Node) nextBatch(off uint64, scratch []*chunk) ([]*chunk, int, error) {
 	if t := n.sentry.next(off); !t.inline {
 		return t.batch, t.n, t.err
@@ -574,7 +574,7 @@ func (n *Node) deliverRingReport(rep *Report) error {
 	w := n.newWire(c)
 	defer w.close()
 	w.setWriteDeadlineIn(n.opts.ReportTimeout)
-	if err := w.writeHelloFor(RoleReport, n.cfg.Index, n.sid); err != nil {
+	if err := w.writeHello(RoleReport, n.cfg.Index, n.sid); err != nil {
 		return err
 	}
 	if err := w.writeReport(rep); err != nil {

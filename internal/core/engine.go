@@ -11,23 +11,24 @@ import (
 	"kascade/internal/transport"
 )
 
-// Engine is the per-process accept layer of a long-lived broadcast agent:
-// one shared data listener whose connections are routed to the broadcast
-// session named in their opening HELLO, a registry of the sessions in
-// flight, an admission policy deciding which new sessions may run (see
-// admission.go), and a global memory budget that the per-session chunk
-// pools are accounted against.
+// Engine is the accept layer every Node runs on: one data listener whose
+// connections are routed to the broadcast session named in their opening
+// HELLO, a registry of the sessions in flight, an admission policy deciding
+// which new sessions may run (see admission.go), a global memory budget
+// that the per-session chunk pools are accounted against, and the
+// data-plane scheduler (sched.go).
 //
-// The single-broadcast tools (the CLI sender, the protocol tests) keep
-// giving each Node its own listener; an agent that must carry many
-// overlapping broadcasts on one advertised port instead creates one Engine
-// and attaches every session's Node to it (NodeConfig.Engine). Connections
-// for sessions that have not registered yet — the prepare/start race, a
-// predecessor dialing a successor whose start message is still in flight —
-// are parked briefly instead of refused, preserving the listener-backlog
-// semantics of the one-listener-per-node design. A parked connection is
-// watched for remote close, so a dialer that gives up frees its park slot
-// immediately instead of pinning it until ParkTimeout.
+// An agent that carries many overlapping broadcasts on one advertised port
+// creates one Engine and attaches every session's Node to it
+// (NodeConfig.Engine). A single-broadcast peer (the CLI sender's node 0,
+// StartSession's members without an EngineFor) runs on a private engine
+// of its own, built by NewSessionEngine. Connections for sessions that
+// have not registered yet — the prepare/start race, a predecessor dialing
+// a successor whose start message is still in flight — are parked briefly
+// instead of refused. A parked connection is watched for remote close, so
+// a dialer that gives up frees its park slot immediately instead of
+// pinning it until ParkTimeout. Connections for a session the engine has
+// retired are closed at once, as a closed listener would refuse them.
 type Engine struct {
 	opts  EngineOptions
 	clk   Clock
@@ -45,6 +46,10 @@ type Engine struct {
 	parkedIP map[string]int // parked connections per remote IP
 	nParked  int
 	closed   bool
+	// retired holds the most recently unregistered sessions, oldest first,
+	// at most retiredSessions of them: their connections are closed, not
+	// parked, until the ID registers again.
+	retired []SessionID
 
 	// Monotonic admission / park counters (EngineStats).
 	admittedTotal uint64
@@ -248,6 +253,11 @@ type parkResolution struct {
 	h connHandler
 }
 
+// retiredSessions bounds the retired-session set an engine remembers. An
+// ID that has dropped out of it is parked again like any unknown session,
+// which costs at most a park slot until ParkTimeout.
+const retiredSessions = 64
+
 // NewEngine binds addr on network and starts the shared accept loop.
 func NewEngine(network transport.Network, addr string, opts EngineOptions) (*Engine, error) {
 	if network == nil {
@@ -272,6 +282,23 @@ func NewEngine(network transport.Network, addr string, opts EngineOptions) (*Eng
 	}
 	go e.acceptLoop()
 	return e, nil
+}
+
+// NewSessionEngine binds addr on network and starts the private engine of
+// one peer of one broadcast run with opts: it keeps the session's clock,
+// budgets exactly the session's PoolReservation, and bounds a HELLO by the
+// session's GetTimeout. One scheduler worker serves it, since its one
+// session holds at most one seat and a seat at most one turn. The caller
+// closes it once the peer's node (and any other node of the session in the
+// process that shares it) has returned.
+func NewSessionEngine(network transport.Network, addr string, opts Options) (*Engine, error) {
+	o := opts.withDefaults()
+	return NewEngine(network, addr, EngineOptions{
+		Clock:        o.Clock,
+		MemBudget:    o.PoolReservation(),
+		HelloTimeout: o.GetTimeout,
+		Workers:      1,
+	})
 }
 
 // Addr reports the shared data listener's bound address.
@@ -475,7 +502,7 @@ func (e *Engine) Stats() EngineStats {
 
 // register claims a session ID and its chunk-pool grant. A session that
 // went through Admit adopts its admitted reservation; one that registers
-// directly (in-process sessions, v1 dialers on the default session) gets
+// directly (in-process sessions, a private engine's one session) gets
 // an implicit immediate admission — accepted if the reservation fits,
 // refused with a typed *AdmissionError otherwise. register never queues:
 // a node inside Run must not block on other sessions, so callers that
@@ -504,11 +531,6 @@ func (e *Engine) register(sid SessionID, h connHandler, chunkSize, poolChunks in
 			}
 			return newChunkPool(chunkSize, capacity), nil
 		}
-		if sid == 0 {
-			// Two concurrent v1 (pre-session-ID) broadcasts: the shared
-			// data port can only carry one default session at a time.
-			return nil, fmt.Errorf("kascade: a pre-session-ID broadcast is already in flight on this engine (v1 senders are limited to one at a time)")
-		}
 		return nil, fmt.Errorf("kascade: session %d already registered on this engine", sid)
 	}
 
@@ -536,6 +558,7 @@ func (e *Engine) register(sid SessionID, h connHandler, chunkSize, poolChunks in
 		return nil, &AdmissionError{Session: sid, Reason: reason}
 	}
 	e.reserved[sid] = &grant{owner: h, bytes: want, class: class}
+	e.unretireLocked(sid)
 	e.used += want
 	e.admittedTotal++
 	e.classCounterLocked(class).admitted++
@@ -612,7 +635,7 @@ func (e *Engine) attach(sid SessionID, h connHandler) {
 
 // unregister detaches a session: its connections are refused from now on
 // (inbound pings go unanswered, so predecessors route around it, exactly
-// as if a dedicated listener had closed) and its pool grant returns to the
+// as if the node's listener had closed) and its pool grant returns to the
 // global budget, which is the admission queue's release hook — freed
 // budget immediately admits as many queued sessions as now fit. Only the
 // owning handler may detach its session; stale calls are no-ops, so
@@ -627,9 +650,35 @@ func (e *Engine) unregister(sid SessionID, h connHandler) {
 	delete(e.sessions, sid)
 	e.used -= r.bytes
 	delete(e.reserved, sid)
+	if len(e.retired) == retiredSessions {
+		e.retired = append(e.retired[:0], e.retired[1:]...)
+	}
+	e.retired = append(e.retired, sid)
 	resolved := e.pumpAdmitQueueLocked()
 	e.mu.Unlock()
 	closeTickets(resolved)
+}
+
+// isRetiredLocked reports whether sid is in the retired set. Caller holds
+// e.mu.
+func (e *Engine) isRetiredLocked(sid SessionID) bool {
+	for _, r := range e.retired {
+		if r == sid {
+			return true
+		}
+	}
+	return false
+}
+
+// unretireLocked drops sid from the retired set: the session is back, by
+// admission or registration. Caller holds e.mu.
+func (e *Engine) unretireLocked(sid SessionID) {
+	for i, r := range e.retired {
+		if r == sid {
+			e.retired = append(e.retired[:i], e.retired[i+1:]...)
+			return
+		}
+	}
 }
 
 func (e *Engine) acceptLoop() {
@@ -660,15 +709,16 @@ func (e *Engine) acceptLoop() {
 	}
 }
 
-// route reads the opening HELLO (either version) and hands the connection
-// to its session, or parks it until the session attaches. Liveness probes
-// for unknown sessions are answered by silence, not parked: a detached
-// (abandoned, finished) session must read as dead to its prober, and the
-// prober's own deadline is far shorter than any park would last.
+// route reads the opening HELLO and hands the connection to its session,
+// or parks it until the session attaches. Liveness probes for unknown
+// sessions are answered by silence, not parked: a detached (abandoned,
+// finished) session must read as dead to its prober, and the prober's own
+// deadline is far shorter than any park would last. Every connection for
+// a retired session is closed the same way: it will never attach again.
 func (e *Engine) route(c transport.Conn) {
 	w := newWire(c, e.clk)
 	w.setReadDeadlineIn(e.opts.HelloTimeout)
-	role, from, sid, err := w.readHelloAny()
+	role, from, sid, err := w.readHello()
 	if err != nil {
 		_ = w.close()
 		return
@@ -680,7 +730,7 @@ func (e *Engine) route(c transport.Conn) {
 		h.handleWire(w, role, from)
 		return
 	}
-	if e.closed || role == RolePing || e.nParked >= e.opts.MaxParked {
+	if e.closed || role == RolePing || e.nParked >= e.opts.MaxParked || e.isRetiredLocked(sid) {
 		e.mu.Unlock()
 		_ = w.close()
 		return

@@ -33,7 +33,7 @@ func (h *fakeHandler) listenerFailed(err error) {
 }
 
 // dialHello opens a data-plane connection to addr and plays the opening
-// HELLO for session sid (v1 when sid == 0).
+// HELLO for session sid.
 func dialHello(t *testing.T, net transport.Network, addr string, role Role, from int, sid SessionID) *wire {
 	t.Helper()
 	c, err := net.Dial(addr, time.Second)
@@ -41,7 +41,7 @@ func dialHello(t *testing.T, net transport.Network, addr string, role Role, from
 		t.Fatalf("dial %s: %v", addr, err)
 	}
 	w := newWire(c, SystemClock())
-	if err := w.writeHelloFor(role, from, sid); err != nil {
+	if err := w.writeHello(role, from, sid); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	return w
@@ -60,8 +60,8 @@ func awaitRole(t *testing.T, h *fakeHandler, want Role, what string) {
 }
 
 // TestEngineSessionRouting checks that one shared listener routes each
-// connection to the session named in its HELLO — v2 frames by their
-// session ID, v1 frames to the default session 0.
+// connection to the session named in its HELLO, the unnamed session 0
+// included.
 func TestEngineSessionRouting(t *testing.T) {
 	fabric := transport.NewFabric(64 << 10)
 	e, err := NewEngine(fabric.Host("srv"), "srv:7000", EngineOptions{})
@@ -83,8 +83,8 @@ func TestEngineSessionRouting(t *testing.T) {
 	awaitRole(t, h1, RoleData, "session 1")
 	dialHello(t, client, "srv:7000", RolePing, 4, 2)
 	awaitRole(t, h2, RolePing, "session 2")
-	dialHello(t, client, "srv:7000", RoleFetch, 5, 0) // v1 HELLO on the wire
-	awaitRole(t, h0, RoleFetch, "v1 default session")
+	dialHello(t, client, "srv:7000", RoleFetch, 5, 0)
+	awaitRole(t, h0, RoleFetch, "unnamed session 0")
 
 	select {
 	case r := <-h1.got:
@@ -338,16 +338,12 @@ func TestEngineCloseNotifiesSessions(t *testing.T) {
 	}
 }
 
-// TestNodeRejectsForeignSession checks session-ID routing on a node that
-// owns its listener: a v2 dialer naming another session is dropped, while
-// v1 dialers and matching v2 dialers are served.
+// TestNodeRejectsForeignSession checks session-ID routing on a node's
+// private engine: a dialer naming another session is dropped, a matching
+// one is served.
 func TestNodeRejectsForeignSession(t *testing.T) {
 	fabric := transport.NewFabric(64 << 10)
 	srvNet := fabric.Host("srv")
-	l, err := srvNet.Listen("srv:7000")
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan := Plan{
 		Peers: []Peer{
 			{Name: "sender", Addr: "other:7000"},
@@ -356,17 +352,15 @@ func TestNodeRejectsForeignSession(t *testing.T) {
 		Opts:    Options{ChunkSize: 1 << 10, WindowChunks: 4, PingTimeout: 200 * time.Millisecond},
 		Session: 5,
 	}
-	n, err := NewNode(NodeConfig{Index: 1, Plan: plan, Network: srvNet, Listener: l})
+	n, err := NewNode(NodeConfig{Index: 1, Plan: plan, Network: srvNet, Engine: testEngine(t, srvNet, "srv:7000", plan.Opts)})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.prepare(); err != nil {
 		t.Fatal(err)
 	}
 	n.ictx, n.cancel = context.WithCancel(context.Background())
 	defer n.cancel()
-	go n.acceptLoop()
-	defer l.Close()
+	if err := n.prepare(); err != nil {
+		t.Fatal(err)
+	}
 
 	client := fabric.Host("cli")
 	ping := func(sid SessionID) bool {
@@ -382,10 +376,45 @@ func TestNodeRejectsForeignSession(t *testing.T) {
 	if !ping(5) {
 		t.Fatal("matching session ping unanswered")
 	}
-	if !ping(0) {
-		t.Fatal("v1 ping unanswered (backward compatibility broken)")
-	}
 	if ping(6) {
 		t.Fatal("foreign-session ping answered")
 	}
+}
+
+// TestEngineRefusesRetiredSession checks that an engine closes a
+// connection for a session it has retired at once, as the closed listener
+// of a finished node would refuse it, instead of parking it until
+// ParkTimeout; and that a session registering again is routed again.
+func TestEngineRefusesRetiredSession(t *testing.T) {
+	fabric := transport.NewFabric(64 << 10)
+	e, err := NewEngine(fabric.Host("srv"), "srv:7000", EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	h := newFakeHandler()
+	if _, err := e.register(5, h, 1024, 2, ""); err != nil {
+		t.Fatal(err)
+	}
+	e.attach(5, h)
+	e.unregister(5, h)
+
+	w := dialHello(t, fabric.Host("cli"), "srv:7000", RoleData, 0, 5)
+	defer w.close()
+	_ = w.conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	start := time.Now()
+	if _, err := w.readType(); err == nil || transport.IsTimeout(err) {
+		t.Fatalf("read on a retired session's connection: %v after %v, want it closed at once", err, time.Since(start))
+	}
+	if p := e.Stats().Parked; p != 0 {
+		t.Fatalf("retired session's connection parked (Parked=%d)", p)
+	}
+
+	h2 := newFakeHandler()
+	if _, err := e.register(5, h2, 1024, 2, ""); err != nil {
+		t.Fatal(err)
+	}
+	e.attach(5, h2)
+	dialHello(t, fabric.Host("cli"), "srv:7000", RoleData, 0, 5)
+	awaitRole(t, h2, RoleData, "re-registered session 5")
 }

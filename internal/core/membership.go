@@ -339,7 +339,7 @@ func NegotiateJoin(network transport.Network, senderAddr string, sid SessionID, 
 	w := newWire(c, clk)
 	defer w.close()
 	w.setWriteDeadlineIn(o.GetTimeout)
-	if err := w.writeHelloFor(RoleJoin, 0, sid); err != nil {
+	if err := w.writeHello(RoleJoin, 0, sid); err != nil {
 		return nil, nil, err
 	}
 	if err := w.writeJSON(MsgJoin, &joinHelloMsg{Name: peer.Name, Addr: peer.Addr}); err != nil {
@@ -705,7 +705,7 @@ func (n *Node) fetchRange(ctx context.Context, from, to uint64) error {
 	defer w.close()
 	n.countRepairFetch()
 	w.setWriteDeadlineIn(n.opts.GetTimeout)
-	if err := w.writeHelloFor(RoleFetch, n.cfg.Index, n.sid); err != nil {
+	if err := w.writeHello(RoleFetch, n.cfg.Index, n.sid); err != nil {
 		return err
 	}
 	if err := w.writePGet(from, to); err != nil {

@@ -317,11 +317,7 @@ func joinTestNode(t *testing.T, fab *transport.Fabric, srvAddr string, head uint
 		{Name: "x", Addr: "x:7000"},
 		{Name: "j", Addr: "j:7000"},
 	}
-	lst, err := fab.Host("j").Listen("j:7000")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { lst.Close() })
+	opts := Options{ChunkSize: 1024, WindowChunks: 2, Rerank: true, DialRetries: 2}
 	grant := &JoinGrant{
 		Index:     2,
 		Peers:     peers,
@@ -334,17 +330,19 @@ func joinTestNode(t *testing.T, fab *transport.Fabric, srvAddr string, head uint
 		Index: 2,
 		Plan: Plan{
 			Peers:    peers,
-			Opts:     Options{ChunkSize: 1024, WindowChunks: 2, Rerank: true, DialRetries: 2},
+			Opts:     opts,
 			Topology: TopologyTree(2),
 		},
-		Join:     grant,
-		Network:  fab.Host("j"),
-		Listener: lst,
-		Sink:     sink,
+		Join:    grant,
+		Network: fab.Host("j"),
+		Engine:  testEngine(t, fab.Host("j"), "j:7000", opts),
+		Sink:    sink,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
+	n.ictx, n.cancel = context.WithCancel(context.Background())
+	t.Cleanup(n.cancel)
 	if err := n.prepare(); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
@@ -362,7 +360,7 @@ func serveCatchUpSource(t *testing.T, lst transport.Listener, payload []byte, ch
 				return
 			}
 			w := newWire(c, SystemClock())
-			if _, _, _, err := w.readHelloAny(); err != nil {
+			if _, _, _, err := w.readHello(); err != nil {
 				_ = w.close()
 				continue
 			}
@@ -469,7 +467,7 @@ func TestCatchUpEvicted(t *testing.T) {
 // for pre-JOIN peers.
 func TestWireCompatPinnedValues(t *testing.T) {
 	msgs := map[MsgType]byte{
-		MsgHello: 1, MsgGet: 2, MsgPGet: 3, MsgForget: 4, MsgData: 5,
+		MsgGet: 2, MsgPGet: 3, MsgForget: 4, MsgData: 5,
 		MsgEnd: 6, MsgQuit: 7, MsgReport: 8, MsgPassed: 9, MsgPing: 10,
 		MsgPong: 11, MsgHello2: 12, MsgRate: 14,
 		MsgReorg2: 15, MsgJoin: 16, MsgJoinInfo: 17, MsgJoinGo: 18, MsgJoinOK: 19,
@@ -488,6 +486,13 @@ func TestWireCompatPinnedValues(t *testing.T) {
 		if _, err := (&Node{}).readViewFrame(w, retired); !errors.As(err, &pe) {
 			t.Fatalf("view frame of retired type %d: %v, want a protocol error", byte(retired), err)
 		}
+	}
+	// 1 was HELLO v1, which carried no session ID. A well-formed v1 HELLO
+	// (data role, node 3) must not open a connection.
+	w := newWire(readerConn{bytes.NewReader([]byte{1, 1, 0, 0, 0, 3})}, SystemClock())
+	var pe *errProtocol
+	if _, _, _, err := w.readHello(); !errors.As(err, &pe) {
+		t.Fatalf("HELLO of retired type 1: %v, want a protocol error", err)
 	}
 	roles := map[Role]byte{
 		RoleData: 1, RolePing: 2, RoleFetch: 3, RoleReport: 4, RoleRate: 5, RoleJoin: 6,
@@ -512,44 +517,45 @@ func (c *captureConn) SetWriteDeadline(time.Time) error { return nil }
 func (c *captureConn) LocalAddr() string                { return "cap:0" }
 func (c *captureConn) RemoteAddr() string               { return "cap:1" }
 
-// TestHelloGoldenBytes pins the exact v1 and v2 HELLO encodings: a
-// pre-JOIN agent must keep parsing post-JOIN dialers unchanged.
+// TestHelloGoldenBytes pins the exact HELLO2 encoding, the unnamed
+// session 0 included: a pre-JOIN agent must keep parsing post-JOIN
+// dialers unchanged.
 func TestHelloGoldenBytes(t *testing.T) {
 	var c captureConn
 	w := newWire(&c, SystemClock())
-	if err := w.writeHelloFor(RoleData, 3, 0); err != nil {
-		t.Fatalf("writeHelloFor v1: %v", err)
+	if err := w.writeHello(RoleData, 3, 0); err != nil {
+		t.Fatalf("writeHello session 0: %v", err)
 	}
-	v1 := []byte{1 /*HELLO*/, 1 /*data*/, 0, 0, 0, 3}
-	if !bytes.Equal(c.Bytes(), v1) {
-		t.Fatalf("v1 HELLO = %x, want %x", c.Bytes(), v1)
+	unnamed := []byte{12 /*HELLO2*/, 1 /*data*/, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0}
+	if !bytes.Equal(c.Bytes(), unnamed) {
+		t.Fatalf("session-0 HELLO = %x, want %x", c.Bytes(), unnamed)
 	}
 	c.Reset()
-	if err := w.writeHelloFor(RoleFetch, 2, 0x0102030405060708); err != nil {
-		t.Fatalf("writeHelloFor v2: %v", err)
+	if err := w.writeHello(RoleFetch, 2, 0x0102030405060708); err != nil {
+		t.Fatalf("writeHello: %v", err)
 	}
-	v2 := []byte{12 /*HELLO2*/, 3 /*fetch*/, 0, 0, 0, 2, 1, 2, 3, 4, 5, 6, 7, 8}
-	if !bytes.Equal(c.Bytes(), v2) {
-		t.Fatalf("v2 HELLO = %x, want %x", c.Bytes(), v2)
+	named := []byte{12 /*HELLO2*/, 3 /*fetch*/, 0, 0, 0, 2, 1, 2, 3, 4, 5, 6, 7, 8}
+	if !bytes.Equal(c.Bytes(), named) {
+		t.Fatalf("HELLO = %x, want %x", c.Bytes(), named)
 	}
 }
 
-// TestHelloDialerMatrix proves both HELLO generations parse identically
-// through the shared accept path, for every role including the new JOIN:
-// pre-JOIN senders and agents interoperate with post-JOIN peers unchanged.
+// TestHelloDialerMatrix proves HELLO2 round-trips through the accept path
+// for every role including JOIN, and for the unnamed session 0 as for a
+// named one.
 func TestHelloDialerMatrix(t *testing.T) {
 	roles := []Role{RoleData, RolePing, RoleFetch, RoleReport, RoleRate, RoleJoin}
 	for _, sid := range []SessionID{0, 42} {
 		for _, role := range roles {
 			var c captureConn
 			w := newWire(&c, SystemClock())
-			if err := w.writeHelloFor(role, 7, sid); err != nil {
-				t.Fatalf("writeHelloFor(%v, sid=%d): %v", role, sid, err)
+			if err := w.writeHello(role, 7, sid); err != nil {
+				t.Fatalf("writeHello(%v, sid=%d): %v", role, sid, err)
 			}
 			r := newWire(readerConn{bytes.NewReader(c.Bytes())}, SystemClock())
-			gotRole, gotFrom, gotSid, err := r.readHelloAny()
+			gotRole, gotFrom, gotSid, err := r.readHello()
 			if err != nil {
-				t.Fatalf("readHelloAny(%v, sid=%d): %v", role, sid, err)
+				t.Fatalf("readHello(%v, sid=%d): %v", role, sid, err)
 			}
 			if gotRole != role || gotFrom != 7 || gotSid != sid {
 				t.Fatalf("HELLO round trip (%v, sid=%d) = (%v, %d, %d)", role, sid, gotRole, gotFrom, gotSid)
@@ -582,7 +588,7 @@ func TestPGetSingleChunkByteIdentity(t *testing.T) {
 	}
 	defer srvLst.Close()
 
-	// The capture server reads exactly HELLO v1 (6 B) + PGET (17 B), then
+	// The capture server reads exactly HELLO (14 B) + PGET (17 B), then
 	// hangs up; both dialers error out after the request is on the wire.
 	reqs := make(chan []byte, 4)
 	go func() {
@@ -591,7 +597,7 @@ func TestPGetSingleChunkByteIdentity(t *testing.T) {
 			if err != nil {
 				return
 			}
-			buf := make([]byte, 23)
+			buf := make([]byte, 31)
 			if _, err := io.ReadFull(c, buf); err == nil {
 				reqs <- buf
 			}

@@ -13,10 +13,12 @@
 //
 // The package is layered so one process can carry many broadcasts at once:
 //
-//   - Engine (engine.go) is the per-process accept layer: one shared data
-//     listener, a session registry routing connections by the session ID in
-//     their HELLO, and the global memory budget the per-session chunk pools
-//     are accounted against.
+//   - Engine (engine.go) is the per-process accept layer every node runs
+//     on: one data listener, a session registry routing connections by the
+//     session ID in their HELLO, the global memory budget the per-session
+//     chunk pools are accounted against, and the data-plane scheduler. An
+//     agent shares one engine among all its sessions; a peer that comes
+//     without one gets a private engine of its own (NewSessionEngine).
 //   - Node (this file) is the per-session lifecycle: configuration, the
 //     Run state machine, and the failure-report bookkeeping.
 //   - The data plane (dataplane.go, store.go, chunkpool.go) moves payload:
@@ -29,9 +31,8 @@
 //     replans mid-broadcast.
 //   - The recovery plane (recovery.go) implements §III-D: the upstream
 //     rewiring loop, the ping-based failure detector, and PGET gap fetches.
-//   - The dispatch layer (dispatch.go) serves the accept side of one node
-//     that owns its listener; engine-attached nodes receive connections
-//     from the engine instead.
+//   - The dispatch layer (dispatch.go) serves the connections the engine
+//     routes to the node, by the role their HELLO declares.
 //
 // Failures are detected exactly as §III-D1 describes: syscall errors on
 // read/write, plus timers on stalled writes resolved by a PING to the
@@ -61,17 +62,12 @@ type NodeConfig struct {
 	// Plan is the shared pipeline description (including the broadcast
 	// session ID on multiplexed engines).
 	Plan Plan
-	// Network is the node's dialing surface (and, with Listener, its
-	// listening surface).
+	// Network is the node's dialing surface.
 	Network transport.Network
-	// Listener is the pre-bound listener for Plan.Peers[Index].Addr.
-	// Binding happens before nodes start so that no dial races a listen.
-	// Exactly one of Listener and Engine must be set.
-	Listener transport.Listener
-	// Engine attaches the node to a shared per-process accept layer
-	// instead of a dedicated listener: the engine routes inbound
-	// connections to this node by Plan.Session and accounts its chunk
-	// pool against the global memory budget.
+	// Engine is the node's accept layer, listening on
+	// Plan.Peers[Index].Addr: it routes inbound connections to this node
+	// by Plan.Session, accounts its chunk pool against the engine's memory
+	// budget and seats a chain node in its scheduler. Required.
 	Engine *Engine
 	// Sink receives the broadcast payload locally; nil discards it.
 	// Only meaningful for receivers (Index > 0). A Sink that is also a
@@ -107,7 +103,7 @@ type Node struct {
 	st     store
 	ws     *windowStore // non-nil iff st is a window store
 	pool   *chunkPool   // recycled payload buffers for the relay hot path
-	sentry *schedEntry  // seat in the engine's data-plane scheduler (nil off-engine)
+	sentry *schedEntry  // seat in the engine's data-plane scheduler (nil for tree relays and leaves)
 
 	ictx   context.Context // internal lifecycle, detached from caller ctx
 	cancel context.CancelFunc
@@ -195,9 +191,9 @@ func (e *peerDeadError) Error() string {
 func (e *peerDeadError) Unwrap() error { return e.cause }
 
 // NewNode validates cfg and prepares a Node. Call Run to participate in
-// the broadcast. The node's stores and pool are built (and, on an engine,
-// the session registered) when Run starts, so inbound connections are only
-// routed to a node that is actually running.
+// the broadcast. The node's stores and pool are built, and its session
+// registered on the engine, when Run starts, so inbound connections are
+// only routed to a node that is actually running.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if err := cfg.Plan.Validate(); err != nil {
 		return nil, err
@@ -208,8 +204,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("kascade: node %d needs a network", cfg.Index)
 	}
-	if (cfg.Listener == nil) == (cfg.Engine == nil) {
-		return nil, fmt.Errorf("kascade: node %d needs exactly one of a bound listener or an engine", cfg.Index)
+	if cfg.Engine == nil {
+		return nil, fmt.Errorf("kascade: node %d needs an engine", cfg.Index)
 	}
 	if cfg.Index == 0 {
 		if cfg.InputFile == nil && cfg.Input == nil {
@@ -282,20 +278,16 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// prepare builds the node's chunk pool and store and, on an engine,
-// registers and then attaches the session. The attach comes strictly
-// last: the engine must never route a connection (or report a listener
-// death) into a node whose pool or store is still nil.
+// prepare registers the session on the engine, builds the node's store
+// from the pool the engine granted, and then attaches the session. The
+// attach comes strictly last: the engine must never route a connection (or
+// report a listener death) into a node whose pool or store is still nil.
 func (n *Node) prepare() error {
-	if n.cfg.Engine != nil {
-		pool, err := n.cfg.Engine.register(n.sid, n, n.opts.ChunkSize, n.opts.PoolChunks, n.opts.Class)
-		if err != nil {
-			return err
-		}
-		n.pool = pool
-	} else {
-		n.pool = newChunkPool(n.opts.ChunkSize, n.opts.PoolChunks)
+	pool, err := n.cfg.Engine.register(n.sid, n, n.opts.ChunkSize, n.opts.PoolChunks, n.opts.Class)
+	if err != nil {
+		return err
 	}
+	n.pool = pool
 	if n.cfg.Index == 0 && n.cfg.InputFile != nil {
 		fs := newFileStore(n.cfg.InputFile, n.cfg.InputSize, n.opts.ChunkSize, n.pool)
 		if _, ok := n.cfg.Network.(transport.TCP); ok {
@@ -319,46 +311,35 @@ func (n *Node) prepare() error {
 			n.ws.rebase(g.Head)
 		}
 	}
-	if n.cfg.Engine != nil {
-		if n.treeK == 1 && !n.leaf {
-			// Engine-attached nodes forward through the engine's weighted
-			// scheduler (sched.go) instead of a free-running goroutine per
-			// session: the seat is taken before attach so the first inbound
-			// GET finds the scheduling path ready. Tree relays serve several
-			// child cursors from one window, which the one-cursor-per-seat
-			// scheduler cannot model, so they keep the direct blocking path.
-			n.sentry = n.cfg.Engine.attachSched(n.sid, n.st, n.opts.Class, n.opts.MaxBatchBytes, n.opts.ChunkSize)
-		}
-		n.cfg.Engine.attach(n.sid, n)
+	if n.treeK == 1 && !n.leaf {
+		// A chain node forwards through the engine's weighted scheduler
+		// (sched.go) instead of a free-running goroutine: the seat is taken
+		// before attach so the first inbound GET finds the scheduling path
+		// ready. Tree relays serve several child cursors from one window,
+		// which the one-cursor-per-seat scheduler cannot model, so they
+		// keep the direct blocking path.
+		n.sentry = n.cfg.Engine.attachSched(n.sid, n.st, n.opts.Class, n.opts.MaxBatchBytes, n.opts.ChunkSize)
 	}
+	n.cfg.Engine.attach(n.sid, n)
 	return nil
 }
 
 // detach stops the node from receiving new connections: the engine
-// unregisters the session (so inbound pings for it go unanswered and the
-// pipeline routes around this node), or the owned listener closes.
+// unregisters the session, so its connections are refused from now on and
+// the pipeline routes around this node.
 func (n *Node) detach() {
 	n.detachOnce.Do(func() {
-		if n.cfg.Engine != nil {
-			n.cfg.Engine.unregister(n.sid, n)
-			n.cfg.Engine.detachSched(n.sentry)
-		} else {
-			_ = n.cfg.Listener.Close()
-		}
+		n.cfg.Engine.unregister(n.sid, n)
+		n.cfg.Engine.detachSched(n.sentry)
 	})
 }
 
 // BytesReceived reports how many payload bytes this node has ingested.
 func (n *Node) BytesReceived() uint64 { return n.bytesIn.Load() }
 
-// Transport counter hooks: engine-attached nodes feed the per-process
-// EngineStats; standalone nodes drop the samples (there is no aggregate to
-// report them in).
-
+// countRepairFetch feeds the engine's EngineStats.RepairFetches.
 func (n *Node) countRepairFetch() {
-	if e := n.cfg.Engine; e != nil {
-		e.repairFetches.Add(1)
-	}
+	n.cfg.Engine.repairFetches.Add(1)
 }
 
 // Abandoned reports whether this node gave up after unrecoverable loss.
@@ -496,10 +477,6 @@ func (n *Node) run(ctx context.Context) (*Report, error) {
 		}
 	}()
 
-	if n.cfg.Listener != nil {
-		go n.acceptLoop()
-	}
-
 	if n.rerank && n.cfg.Index > 0 {
 		go n.runRateSpoke(ictx)
 	}
@@ -582,9 +559,8 @@ func (n *Node) shutdown(cause error) {
 	n.cancel()
 }
 
-// listenerFailed is the engine's notification that the shared accept path
-// died underneath this session: fatal if the node is still mid-transfer,
-// exactly like an owned listener failing.
+// listenerFailed is the engine's notification that its accept path died
+// underneath this session: fatal if the node is still mid-transfer.
 func (n *Node) listenerFailed(err error) {
 	select {
 	case <-n.ictx.Done():

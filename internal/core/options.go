@@ -186,10 +186,10 @@ func (o Options) pollInterval() time.Duration {
 }
 
 // SessionID identifies one broadcast among the many a shared engine (or
-// agent process) may carry concurrently. It travels in every HELLO v2
-// frame so the accept path can route connections to the right pipeline.
-// The zero ID is the v1-compatible default session: nodes running under it
-// emit byte-identical v1 frames, and v1 dialers land on it.
+// agent process) may carry concurrently. It travels in every HELLO frame
+// so the accept path can route connections to the right pipeline. The
+// zero ID is the unnamed session of single-broadcast runs, whose every
+// peer runs on a private engine (NewSessionEngine).
 type SessionID uint64
 
 // Peer identifies one pipeline member.
@@ -206,8 +206,8 @@ type Peer struct {
 type Plan struct {
 	Peers []Peer
 	Opts  Options
-	// Session identifies this broadcast on shared data listeners. 0 keeps
-	// the node on the v1 wire format (single-broadcast processes).
+	// Session identifies this broadcast on shared engines. 0 is the
+	// unnamed session of a broadcast whose peers run on private engines.
 	Session SessionID
 	// Topology selects the dissemination shape over the ordered peers:
 	// "" or TopologyChain is the paper's linear pipeline (§III-A);

@@ -83,6 +83,18 @@ func newTestEnv(n, bufSize int) *testEnv {
 	return env
 }
 
+// testEngine binds a private engine for one node built by hand, closed when
+// the test ends.
+func testEngine(t testing.TB, network transport.Network, addr string, opts Options) *Engine {
+	t.Helper()
+	e, err := NewSessionEngine(network, addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
 func (env *testEnv) config(data []byte, stream bool) SessionConfig {
 	cfg := SessionConfig{
 		Peers:      env.peers,
@@ -519,20 +531,19 @@ func TestNewNodeValidation(t *testing.T) {
 	if _, err := NewNode(NodeConfig{Index: -1, Plan: plan}); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, err := NewNode(NodeConfig{Index: 0, Plan: plan}); err == nil {
-		t.Error("missing network/listener accepted")
-	}
 	net1 := env.fabric.Host("n1")
-	l, err := net1.Listen(env.peers[0].Addr)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewNode(NodeConfig{Index: 0, Plan: plan, Network: net1, InputFile: bytes.NewReader(nil)}); err == nil {
+		t.Error("missing engine accepted")
 	}
-	defer l.Close()
-	if _, err := NewNode(NodeConfig{Index: 0, Plan: plan, Network: net1, Listener: l}); err == nil {
+	e := testEngine(t, net1, env.peers[0].Addr, plan.Opts)
+	if _, err := NewNode(NodeConfig{Index: 0, Plan: plan, Engine: e}); err == nil {
+		t.Error("missing network accepted")
+	}
+	if _, err := NewNode(NodeConfig{Index: 0, Plan: plan, Network: net1, Engine: e}); err == nil {
 		t.Error("sender without input accepted")
 	}
 	if _, err := NewNode(NodeConfig{
-		Index: 1, Plan: plan, Network: net1, Listener: l,
+		Index: 1, Plan: plan, Network: net1, Engine: e,
 		Input: bytes.NewReader(nil),
 	}); err == nil {
 		t.Error("receiver with input accepted")

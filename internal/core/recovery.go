@@ -24,7 +24,7 @@ func (n *Node) probe(addr string) bool {
 	defer c.Close()
 	_ = c.SetDeadline(n.clk.Now().Add(n.opts.PingTimeout))
 	w := n.newWire(c)
-	if err := w.writeHelloFor(RolePing, n.cfg.Index, n.sid); err != nil {
+	if err := w.writeHello(RolePing, n.cfg.Index, n.sid); err != nil {
 		return false
 	}
 	if err := w.writePing(); err != nil {
@@ -320,7 +320,7 @@ func (n *Node) fetchGapOnce(from, to uint64) error {
 	w := n.newWire(c)
 	defer w.close()
 	w.setWriteDeadlineIn(n.opts.GetTimeout)
-	if err := w.writeHelloFor(RoleFetch, n.cfg.Index, n.sid); err != nil {
+	if err := w.writeHello(RoleFetch, n.cfg.Index, n.sid); err != nil {
 		return err
 	}
 	if err := w.writePGet(from, to); err != nil {
@@ -359,7 +359,7 @@ func (n *Node) fetchGapOnce(from, to uint64) error {
 }
 
 // abandon marks the node as failed-by-loss: it stops answering pings
-// (detached from its listener or engine) so its predecessor skips it, and
+// (its session detached from the engine) so its predecessor skips it, and
 // poisons the store so the downstream manager sends QUIT(abandon) to the
 // successor. It returns ErrAbandoned with the first reason given.
 func (n *Node) abandon(reason string) error {

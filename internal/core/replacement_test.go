@@ -44,10 +44,7 @@ func TestReplacementMidChunkDoesNotCorruptWindow(t *testing.T) {
 				w := newWire(c, SystemClock())
 				defer w.close()
 				w.setReadDeadlineIn(5 * time.Second)
-				if typ, err := w.readType(); err != nil || typ != MsgHello {
-					return
-				}
-				role, _, err := w.readHello()
+				role, _, _, err := w.readHello()
 				if err != nil || role != RoleReport {
 					return
 				}
@@ -64,13 +61,9 @@ func TestReplacementMidChunkDoesNotCorruptWindow(t *testing.T) {
 	}()
 
 	recvNet := fabric.Host("n2")
-	recvL, err := recvNet.Listen(peers[1].Addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sink := &collectSink{}
 	node, err := NewNode(NodeConfig{
-		Index: 1, Plan: plan, Network: recvNet, Listener: recvL, Sink: sink,
+		Index: 1, Plan: plan, Network: recvNet, Engine: testEngine(t, recvNet, peers[1].Addr, opts), Sink: sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +82,7 @@ func TestReplacementMidChunkDoesNotCorruptWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	wA := newWire(connA, SystemClock())
-	if err := wA.writeHello(RoleData, 0); err != nil {
+	if err := wA.writeHello(RoleData, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	wA.setReadDeadlineIn(2 * time.Second)
@@ -124,7 +117,7 @@ func TestReplacementMidChunkDoesNotCorruptWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	wB := newWire(connB, SystemClock())
-	if err := wB.writeHello(RoleData, 0); err != nil {
+	if err := wB.writeHello(RoleData, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // let B enter the queue mid-read
@@ -152,7 +145,7 @@ func TestReplacementMidChunkDoesNotCorruptWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	wC := newWire(connC, SystemClock())
-	if err := wC.writeHello(RoleData, 1); err != nil {
+	if err := wC.writeHello(RoleData, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	wC.setReadDeadlineIn(2 * time.Second)

@@ -318,7 +318,7 @@ func (n *Node) sendRateReport(ingest float64) {
 	w := n.newWire(c)
 	defer w.close()
 	w.setWriteDeadlineIn(n.opts.GetTimeout)
-	if err := w.writeHelloFor(RoleRate, n.cfg.Index, n.sid); err != nil {
+	if err := w.writeHello(RoleRate, n.cfg.Index, n.sid); err != nil {
 		return
 	}
 	v := n.curView()
@@ -384,7 +384,7 @@ func newReorganizer(n *Node) *reorganizer {
 // proof the peer holds the whole payload and is winding down. Rate reports
 // stop when a node finishes, so without this signal the planner would keep
 // judging finished nodes by their last (forever-stale, mid-stream) report
-// and could promote one whose listener is already gone.
+// and could promote one whose session has already left its engine.
 func (g *reorganizer) noteSpoke(peer int) {
 	g.mu.Lock()
 	g.spoked[peer] = true
@@ -517,7 +517,7 @@ func (g *reorganizer) replanLocked() {
 	}
 	// finished reports whether x is known (or projected) to hold the
 	// entire stream: its lifecycle may already be over (REPORT sent,
-	// listener closed), so it must be left exactly where it is — demoting
+	// session detached), so it must be left exactly where it is — demoting
 	// it buys nothing, and promoting it hands children to a peer that may
 	// be gone.
 	finished := func(x int) bool {
@@ -649,8 +649,8 @@ func (g *reorganizer) replanLocked() {
 // rerankFinished reports whether peer provably finished its copy: only
 // node 0 can know (it terminates the ring spokes), everyone else reads
 // false. Serving paths consult it before naming a failure — a refused
-// dial to a node whose spoke already landed is a closed listener after a
-// completed lifecycle, not a death.
+// connection to a node whose spoke already landed is a detached session
+// after a completed lifecycle, not a death.
 func (n *Node) rerankFinished(peer int) bool {
 	return n.reorg != nil && n.reorg.hasSpoke(peer)
 }

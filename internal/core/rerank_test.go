@@ -149,22 +149,19 @@ func plannerRoot(t *testing.T, opts Options) (*Node, *transport.Fabric, []Peer) 
 		peers[i] = Peer{Name: fmt.Sprintf("n%d", i), Addr: fmt.Sprintf("n%d:7000", i)}
 	}
 	net0 := fabric.Host(peers[0].Name)
-	l, err := net0.Listen(peers[0].Addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
 	n, err := NewNode(NodeConfig{
 		Index:     0,
 		Plan:      Plan{Peers: peers, Opts: opts, Topology: TopologyTree(2)},
 		Network:   net0,
-		Listener:  l,
+		Engine:    testEngine(t, net0, peers[0].Addr, opts),
 		InputFile: bytes.NewReader(make([]byte, size)),
 		InputSize: size,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.ictx, n.cancel = context.WithCancel(context.Background())
+	t.Cleanup(n.cancel)
 	if err := n.prepare(); err != nil {
 		t.Fatal(err)
 	}

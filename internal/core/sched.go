@@ -98,8 +98,8 @@ type schedEntry struct {
 	rate atomic.Uint64
 }
 
-// observeRate posts the session's measured drain rate. Nil-safe: nodes
-// off the engine (or tree relays) have no seat and drop the sample.
+// observeRate posts the session's measured drain rate. Nil-safe: tree
+// relays have no seat and drop the sample.
 func (e *schedEntry) observeRate(r float64) {
 	if e == nil || r <= 0 {
 		return
@@ -209,8 +209,8 @@ func (s *scheduler) register(st store, class string, maxBatch, chunkSize int) *s
 }
 
 // next posts the session's current offset and parks until a worker hands
-// over the next turn. Safe on a nil entry (dedicated-listener nodes):
-// callers get the inline marker and use the direct blocking path.
+// over the next turn. Safe on a nil entry (unseated tree relays): callers
+// get the inline marker and use the direct blocking path.
 func (e *schedEntry) next(off uint64) schedTurn {
 	if e == nil {
 		return schedTurn{inline: true}

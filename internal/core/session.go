@@ -22,7 +22,8 @@ type SessionConfig struct {
 	Opts  Options
 
 	// Session identifies this broadcast on shared engines. Required
-	// (non-zero) when EngineFor is set; 0 keeps the v1 wire format.
+	// (non-zero) when EngineFor is set; 0 names the unnamed session of
+	// members that run on private engines.
 	Session SessionID
 
 	// Topology selects the dissemination shape (Plan.Topology): "" or
@@ -35,10 +36,10 @@ type SessionConfig struct {
 	NetworkFor func(i int) transport.Network
 
 	// EngineFor, when set, attaches pipeline member i to a shared
-	// per-process Engine instead of binding a dedicated listener: the
-	// peer's address becomes the engine's shared data address and its
-	// connections are routed by Session. This is how many overlapping
-	// broadcasts run through the same set of processes.
+	// per-process Engine: the peer's address becomes the engine's shared
+	// data address and its connections are routed by Session. This is how
+	// many overlapping broadcasts run through the same set of processes.
+	// Without it, each member gets a private engine bound at its Addr.
 	EngineFor func(i int) *Engine
 
 	// Input is the streamed source payload; InputFile/InputSize take
@@ -55,7 +56,7 @@ type SessionConfig struct {
 	Trace Tracer
 }
 
-// Validate checks the session configuration before any listener binds.
+// Validate checks the session configuration before any engine binds.
 // It is the lifecycle API's single validation front door: the structural
 // wiring (peers, network/engine hooks) and the topology × options shape
 // that Options.Validate and Plan.Validate used to split between them. Address checks are deliberately absent — peers may carry
@@ -104,11 +105,12 @@ type Session struct {
 	Nodes []*Node
 	Plan  Plan
 
-	clk    Clock
-	start  time.Time
-	wg     *sync.WaitGroup
-	res    *SessionResult
-	sender struct {
+	clk     Clock
+	start   time.Time
+	wg      *sync.WaitGroup
+	engines *engineSet
+	res     *SessionResult
+	sender  struct {
 		report *Report
 		err    error
 	}
@@ -126,57 +128,47 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) 
 	return s.Wait()
 }
 
-// StartSession binds listeners, builds the nodes and launches them, then
-// returns immediately with the live session.
+// StartSession builds or finds every member's engine, builds the nodes and
+// launches them, then returns immediately with the live session. A member
+// without an EngineFor engine gets a private one (NewSessionEngine), bound
+// up front so that no dial races a listen; private engines close once
+// every node of the session in this process has returned.
 func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	peers := append([]Peer(nil), cfg.Peers...)
-
-	// Bind every listener up front so no dial can race a listen. On
-	// shared engines there is nothing to bind: each member's address is
-	// its engine's (already listening) data address, and connections
-	// arriving before the member registers are parked by the engine.
-	listeners := make([]transport.Listener, len(peers))
-	closeListeners := func() {
-		for _, l := range listeners {
-			if l != nil {
-				l.Close()
-			}
-		}
-	}
+	owned := &engineSet{}
+	engines := make([]*Engine, len(peers))
 	for i := range peers {
 		if cfg.EngineFor != nil {
-			peers[i].Addr = cfg.EngineFor(i).Addr()
-			continue
+			engines[i] = cfg.EngineFor(i)
+		} else {
+			e, err := NewSessionEngine(cfg.NetworkFor(i), peers[i].Addr, cfg.Opts)
+			if err != nil {
+				owned.close()
+				return nil, err
+			}
+			owned.engines = append(owned.engines, e)
+			engines[i] = e
 		}
-		l, err := cfg.NetworkFor(i).Listen(peers[i].Addr)
-		if err != nil {
-			closeListeners()
-			return nil, fmt.Errorf("kascade: binding %s: %w", peers[i].Addr, err)
-		}
-		listeners[i] = l
-		peers[i].Addr = l.Addr() // resolve ephemeral ports
+		peers[i].Addr = engines[i].Addr() // resolve ephemeral ports
 	}
 
 	plan := Plan{Peers: peers, Opts: cfg.Opts, Session: cfg.Session, Topology: cfg.Topology}
 	if err := plan.Validate(); err != nil {
-		closeListeners()
+		owned.close()
 		return nil, err
 	}
 
 	nodes := make([]*Node, len(peers))
 	for i := range peers {
 		nc := NodeConfig{
-			Index:    i,
-			Plan:     plan,
-			Network:  cfg.NetworkFor(i),
-			Listener: listeners[i],
-			Trace:    cfg.Trace,
-		}
-		if cfg.EngineFor != nil {
-			nc.Engine = cfg.EngineFor(i)
+			Index:   i,
+			Plan:    plan,
+			Network: cfg.NetworkFor(i),
+			Engine:  engines[i],
+			Trace:   cfg.Trace,
 		}
 		if i == 0 {
 			nc.InputFile = cfg.InputFile
@@ -189,7 +181,7 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		}
 		n, err := NewNode(nc)
 		if err != nil {
-			closeListeners()
+			owned.close()
 			return nil, err
 		}
 		nodes[i] = n
@@ -200,20 +192,23 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	// system clock, or Elapsed drifts from the simulated timeline.
 	clk := cfg.Opts.withDefaults().Clock
 	s := &Session{
-		Nodes: nodes,
-		Plan:  plan,
-		clk:   clk,
-		wg:    &sync.WaitGroup{},
+		Nodes:   nodes,
+		Plan:    plan,
+		clk:     clk,
+		wg:      &sync.WaitGroup{},
+		engines: owned,
 		res: &SessionResult{
 			NodeErrs: make([]error, len(peers)),
 			Received: make([]uint64, len(peers)),
 		},
 		start: clk.Now(),
 	}
+	owned.live = len(nodes)
 	for i := range nodes {
 		s.wg.Add(1)
 		go func(i int) {
 			defer s.wg.Done()
+			defer owned.done()
 			rep, err := nodes[i].Run(ctx)
 			s.res.NodeErrs[i] = err
 			if i == 0 {
@@ -225,19 +220,63 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
+// engineSet holds the private engines a session built for its members in
+// this process. They close together once every node of the session here
+// (late joiners included) has returned, so a finished node's address
+// refuses its session's connections without refusing a dial.
+type engineSet struct {
+	mu      sync.Mutex
+	live    int // nodes of the session still running in this process
+	engines []*Engine
+}
+
+// add counts one more running node, with the private engine it brought
+// (nil when it runs on a caller's engine).
+func (s *engineSet) add(e *Engine) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.live++
+	if e != nil {
+		s.engines = append(s.engines, e)
+	}
+}
+
+// done counts one node as returned, closing the engines with the last one.
+func (s *engineSet) done() {
+	s.mu.Lock()
+	s.live--
+	last := s.live == 0
+	s.mu.Unlock()
+	if last {
+		s.close()
+	}
+}
+
+// close closes every engine in the set.
+func (s *engineSet) close() {
+	s.mu.Lock()
+	engines := s.engines
+	s.engines = nil
+	s.mu.Unlock()
+	for _, e := range engines {
+		_ = e.Close()
+	}
+}
+
 // JoinConfig describes one late joiner of an in-process session: the
 // same lifecycle surface as SessionConfig, scoped to a single peer.
 type JoinConfig struct {
 	// Peer names the joiner; its Addr may be empty or ephemeral and is
-	// resolved at bind time (ignored when Engine is set — the engine's
-	// shared data address is used).
+	// resolved when the joiner's private engine binds it (ignored when
+	// Engine is set — the engine's shared data address is used).
 	Peer Peer
 	// Network is the joiner's network view.
 	Network transport.Network
 	// Engine, when set, attaches the joiner to a shared per-process
 	// engine: its admission (accept/queue/refuse, typed *AdmissionError)
 	// runs before the graft, and the engine's listener carries the
-	// joiner's connections.
+	// joiner's connections. Without it the joiner gets a private engine on
+	// Network, which closes with the session's other private engines.
 	Engine *Engine
 	// Sink receives the complete payload (catch-up bytes first, in
 	// order); nil discards.
@@ -313,20 +352,18 @@ func (s *Session) Join(ctx context.Context, jc JoinConfig) (*JoinHandle, error) 
 	// Resolve the joiner's address before the graft: it enters the
 	// member table with the grant.
 	peer := jc.Peer
-	var lst transport.Listener
-	if jc.Engine != nil {
-		peer.Addr = jc.Engine.Addr()
-	} else {
-		l, err := jc.Network.Listen(peer.Addr)
+	engine, private := jc.Engine, (*Engine)(nil)
+	if engine == nil {
+		e, err := NewSessionEngine(jc.Network, peer.Addr, opts)
 		if err != nil {
 			return fail(fmt.Errorf("kascade: binding joiner %s: %w", peer.Addr, err))
 		}
-		lst = l
-		peer.Addr = l.Addr()
+		engine, private = e, e
 	}
+	peer.Addr = engine.Addr()
 	cleanup := func(err error) (*JoinHandle, error) {
-		if lst != nil {
-			lst.Close()
+		if private != nil {
+			private.Close()
 		}
 		return fail(err)
 	}
@@ -339,22 +376,23 @@ func (s *Session) Join(ctx context.Context, jc JoinConfig) (*JoinHandle, error) 
 	plan := s.Plan
 	plan.Peers = grant.Peers
 	nc := NodeConfig{
-		Index:    grant.Index,
-		Plan:     plan,
-		Join:     grant,
-		Network:  jc.Network,
-		Listener: lst,
-		Engine:   jc.Engine,
-		Sink:     jc.Sink,
-		Trace:    jc.Trace,
+		Index:   grant.Index,
+		Plan:    plan,
+		Join:    grant,
+		Network: jc.Network,
+		Engine:  engine,
+		Sink:    jc.Sink,
+		Trace:   jc.Trace,
 	}
 	n, err := NewNode(nc)
 	if err != nil {
 		return cleanup(err)
 	}
 	h := &JoinHandle{Node: n, Grant: grant, done: make(chan struct{})}
+	s.engines.add(private)
 	go func() {
 		defer close(h.done)
+		defer s.engines.done()
 		h.rep, h.err = n.Run(ctx)
 	}()
 	return h, nil

@@ -136,11 +136,7 @@ func TestSinkStageOnlyForPipeReceivers(t *testing.T) {
 
 	fab := transport.NewFabric(1 << 20)
 	peers := []Peer{{Name: "a", Addr: "a:7000"}, {Name: "b", Addr: "b:7000"}, {Name: "c", Addr: "c:7000"}, {Name: "d", Addr: "d:7000"}}
-	lst, err := fab.Host("b").Listen("b:7000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lst.Close()
+	engine := testEngine(t, fab.Host("b"), "b:7000", testOpts())
 	rerank := testOpts()
 	rerank.Rerank = true
 	for _, tc := range []struct {
@@ -162,7 +158,7 @@ func TestSinkStageOnlyForPipeReceivers(t *testing.T) {
 	} {
 		n, err := NewNode(NodeConfig{
 			Index: tc.index, Plan: Plan{Peers: peers, Opts: tc.opts, Topology: tc.topology},
-			Network: fab.Host("b"), Listener: lst, Sink: tc.sink, Input: tc.input,
+			Network: fab.Host("b"), Engine: engine, Sink: tc.sink, Input: tc.input,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -148,6 +148,13 @@ type windowStore struct {
 	notify   func()
 	notifyAt uint64
 	armed    bool
+	// firstByte marks an arm that waits for the first byte (want 1): an
+	// idle scheduler seat. A seat armed at a quantum is batching. waking is
+	// set when a first-byte arm fires and cleared by the next low-water
+	// report, which comes once the seat's forwarder has sent what it was
+	// woken for: until then Append counts the seat as a woken consumer.
+	firstByte bool
+	waking    bool
 }
 
 func newWindowStore(chunkSize, windowChunks int, pool *chunkPool) *windowStore {
@@ -197,6 +204,7 @@ func (s *windowStore) maybeNotifyLocked() {
 		s.armed = false
 		if s.notify != nil {
 			s.notify()
+			s.waking = s.firstByte
 		}
 	}
 }
@@ -217,9 +225,10 @@ func (s *windowStore) evictLocked() {
 // released store (pipeline tail) the oldest chunk is dropped instead, so
 // the tail's memory stays bounded by the window.
 //
-// It returns how many consumers were parked in ChunkAt when the chunk
-// landed, all of them woken by it. A store has one appender, so every
-// other parked goroutine is a ChunkAt consumer.
+// It returns how many idle consumers the chunk found woken but not yet
+// done: those parked in ChunkAt (a store has one appender, so every other
+// parked goroutine is a ChunkAt consumer), plus a scheduler seat whose
+// first-byte notify fired and whose forwarder has not reported since.
 func (s *windowStore) Append(c *chunk) (woken int, err error) {
 	size := len(c.bytes())
 	if size == 0 || len(s.ring) == 0 {
@@ -262,6 +271,9 @@ func (s *windowStore) Append(c *chunk) (woken int, err error) {
 	woken = s.waiters
 	s.wakeLocked()
 	s.maybeNotifyLocked()
+	if s.waking {
+		woken++
+	}
 	return woken, nil
 }
 
@@ -349,7 +361,7 @@ func (s *windowStore) SetNotify(fn func()) {
 	defer s.mu.Unlock()
 	s.notify = fn
 	if fn == nil {
-		s.armed = false
+		s.armed, s.waking = false, false
 	}
 }
 
@@ -377,6 +389,7 @@ func (s *windowStore) ArmNotify(off uint64, want int) bool {
 	}
 	s.notifyAt = at
 	s.armed = true
+	s.firstByte = want == 1
 	return true
 }
 
@@ -412,6 +425,7 @@ func (s *windowStore) ResetLowWater(off uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lowWater = off
+	s.waking = false
 	s.wakeLocked()
 }
 

@@ -213,6 +213,45 @@ func TestWindowStoreAppendReportsParkedConsumers(t *testing.T) {
 	}
 }
 
+// TestWindowStoreAppendCountsIdleSeat: a scheduler seat armed at the first
+// byte counts as a woken consumer from the Append that fires it until its
+// forwarder next reports a low-water mark; a seat armed at a quantum never
+// does.
+func TestWindowStoreAppendCountsIdleSeat(t *testing.T) {
+	s := newWindowStore(4, 8, nil)
+	fired := 0
+	s.SetNotify(func() { fired++ })
+	appendOne := func() int {
+		woken, err := s.Append(s.pool.get(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return woken
+	}
+	if !s.ArmNotify(0, 1) {
+		t.Fatal("empty store not armed")
+	}
+	if woken := appendOne(); woken != 1 || fired != 1 {
+		t.Fatalf("first byte for an idle seat: woken %d, fired %d; want 1, 1", woken, fired)
+	}
+	if woken := appendOne(); woken != 1 {
+		t.Fatalf("append before the seat's forwarder reported: woken %d, want 1", woken)
+	}
+	s.ResetLowWater(8)
+	if woken := appendOne(); woken != 0 {
+		t.Fatalf("append after the seat's forwarder reported: woken %d, want 0", woken)
+	}
+	if !s.ArmNotify(12, 8) {
+		t.Fatal("quantum arm refused")
+	}
+	if woken := appendOne(); woken != 0 {
+		t.Fatalf("append under a quantum arm: woken %d, want 0", woken)
+	}
+	if woken := appendOne(); woken != 0 || fired != 2 {
+		t.Fatalf("append that fills the quantum: woken %d, fired %d; want 0, 2", woken, fired)
+	}
+}
+
 func TestWindowStoreAppendAfterFinishFails(t *testing.T) {
 	s := newWindowStore(4, 4, nil)
 	s.Finish(0)

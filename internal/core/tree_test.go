@@ -102,18 +102,11 @@ func TestPlanValidateTopology(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("scatter-allgather plan rejected: %v", err)
 	}
-	_, err := NewNode(NodeConfig{Index: 1, Plan: *p, Network: transport.TCP{}, Listener: nopListener{}})
+	_, err := NewNode(NodeConfig{Index: 1, Plan: *p, Network: transport.TCP{}, Engine: &Engine{}})
 	if err == nil {
 		t.Fatal("NewNode ran a composite topology")
 	}
 }
-
-// nopListener satisfies transport.Listener for construction-only tests.
-type nopListener struct{}
-
-func (nopListener) Accept() (transport.Conn, error) { return nil, io.EOF }
-func (nopListener) Close() error                    { return nil }
-func (nopListener) Addr() string                    { return "nop:0" }
 
 // runTreeSession runs one n-node tree broadcast over the in-memory fabric
 // and verifies bit-perfect delivery at every receiver.

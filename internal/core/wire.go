@@ -17,7 +17,7 @@ import (
 type MsgType byte
 
 const (
-	MsgHello    MsgType = iota + 1 // role + node index: opens every connection
+	_           MsgType = iota + 1 // 1: the retired HELLO v1 frame; unused so later values keep theirs
 	MsgGet                         // offset: request stream data from offset
 	MsgPGet                        // [from,to): request a byte range (gap fetch)
 	MsgForget                      // min offset: requested data not available anymore
@@ -28,7 +28,7 @@ const (
 	MsgPassed                      // report reached node 1; sender may exit
 	MsgPing                        // liveness probe
 	MsgPong                        // liveness answer
-	MsgHello2                      // HELLO v2: role + node index + session ID
+	MsgHello2                      // HELLO: role + node index + session ID; opens every connection
 	_                              // 13: the retired REORG v1 frame; unused so later values keep theirs
 	MsgRate                        // length + JSON link-rate report (reorg spoke)
 	MsgReorg2                      // view version + slot assignment + member table: tree re-ranking plan
@@ -40,8 +40,6 @@ const (
 
 func (m MsgType) String() string {
 	switch m {
-	case MsgHello:
-		return "HELLO"
 	case MsgGet:
 		return "GET"
 	case MsgPGet:
@@ -197,43 +195,22 @@ func (w *wire) readUint32() (uint32, error) {
 	return binary.BigEndian.Uint32(b), nil
 }
 
-// readHello parses the payload of a HELLO frame (after its type byte).
-func (w *wire) readHello() (Role, int, error) {
-	b, err := w.readHeader(5)
+// readHello reads the connection-opening HELLO2 frame: role, node index,
+// then the 8-byte broadcast session ID. Any other opening frame, the
+// retired HELLO v1 (type 1) included, is a protocol error.
+func (w *wire) readHello() (Role, int, SessionID, error) {
+	typ, err := w.readType()
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	return Role(b[0]), int(binary.BigEndian.Uint32(b[1:])), nil
-}
-
-// readHello2 parses the payload of a HELLO v2 frame (after its type byte):
-// role, node index, then the 8-byte broadcast session ID.
-func (w *wire) readHello2() (Role, int, SessionID, error) {
+	if typ != MsgHello2 {
+		return 0, 0, 0, &errProtocol{want: MsgHello2, got: typ}
+	}
 	b, err := w.readHeader(13)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	return Role(b[0]), int(binary.BigEndian.Uint32(b[1:5])), SessionID(binary.BigEndian.Uint64(b[5:])), nil
-}
-
-// readHelloAny reads the connection-opening frame, accepting both protocol
-// versions: a v1 HELLO (no session ID) maps onto the default session 0,
-// a v2 HELLO2 carries its broadcast session ID explicitly. This is the
-// backward-detection point: a v2 accept path serves v1 dialers unchanged.
-func (w *wire) readHelloAny() (Role, int, SessionID, error) {
-	typ, err := w.readType()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	switch typ {
-	case MsgHello:
-		role, from, err := w.readHello()
-		return role, from, 0, err
-	case MsgHello2:
-		return w.readHello2()
-	default:
-		return 0, 0, 0, &errProtocol{want: MsgHello, got: typ}
-	}
 }
 
 // readData reads a DATA payload (after the type byte) straight into a
@@ -360,20 +337,9 @@ func (w *wire) writeAll(p []byte) error {
 	return err
 }
 
-func (w *wire) writeHello(role Role, index int) error {
-	w.hdr[0] = byte(MsgHello)
-	w.hdr[1] = byte(role)
-	binary.BigEndian.PutUint32(w.hdr[2:6], uint32(index))
-	return w.writeAll(w.hdr[:6])
-}
-
-// writeHelloFor opens a connection for session sid: the default session 0
-// emits a byte-identical v1 HELLO (full backward compatibility); any other
-// session emits HELLO2 with the ID, so a shared accept path can route it.
-func (w *wire) writeHelloFor(role Role, index int, sid SessionID) error {
-	if sid == 0 {
-		return w.writeHello(role, index)
-	}
+// writeHello opens a connection for session sid with a HELLO2 frame, so
+// the accepting engine can route it.
+func (w *wire) writeHello(role Role, index int, sid SessionID) error {
 	w.hdr[0] = byte(MsgHello2)
 	w.hdr[1] = byte(role)
 	binary.BigEndian.PutUint32(w.hdr[2:6], uint32(index))

@@ -29,16 +29,12 @@ func (l *loopConn) RemoteAddr() string               { return "b:0" }
 
 func TestWireHelloRoundTrip(t *testing.T) {
 	w := newWire(&loopConn{}, SystemClock())
-	if err := w.writeHello(RoleData, 42); err != nil {
+	if err := w.writeHello(RoleData, 42, 7); err != nil {
 		t.Fatal(err)
 	}
-	typ, err := w.readType()
-	if err != nil || typ != MsgHello {
-		t.Fatalf("type %v err %v", typ, err)
-	}
-	role, idx, err := w.readHello()
-	if err != nil || role != RoleData || idx != 42 {
-		t.Fatalf("role %v idx %d err %v", role, idx, err)
+	role, idx, sid, err := w.readHello()
+	if err != nil || role != RoleData || idx != 42 || sid != 7 {
+		t.Fatalf("role %v idx %d session %d err %v", role, idx, sid, err)
 	}
 }
 
@@ -162,7 +158,7 @@ func TestMsgTypeAndRoleStrings(t *testing.T) {
 	for typ, want := range map[MsgType]string{
 		MsgGet: "GET", MsgPGet: "PGET", MsgForget: "FORGET", MsgData: "DATA",
 		MsgEnd: "END", MsgQuit: "QUIT", MsgReport: "REPORT", MsgPassed: "PASSED",
-		MsgPing: "PING", MsgPong: "PONG", MsgHello: "HELLO",
+		MsgPing: "PING", MsgPong: "PONG", MsgHello2: "HELLO2",
 	} {
 		if typ.String() != want {
 			t.Errorf("MsgType %d = %q, want %q", typ, typ.String(), want)

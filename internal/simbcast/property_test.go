@@ -88,7 +88,7 @@ func TestEngineChurnDeliveryQuick(t *testing.T) {
 		sc := chaos.Generate(seed, shape)
 		res := chaos.Run(context.Background(), sc)
 		if err := chaos.Check(res); err != nil {
-			t.Logf("seed %d: %v\n%s", seed, err, sc.Repro(seed))
+			t.Logf("seed %d: %v\n%s", seed, err, sc.Repro("./internal/simbcast", t.Name()))
 			return false
 		}
 		// The stated property, asserted directly on top of Check: a node
