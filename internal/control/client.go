@@ -80,8 +80,7 @@ func NewClient(conn net.Conn, opts ClientOptions) *Client {
 }
 
 // Close tears the channel down. Sessions still live on the agent lose
-// their leases and are killed there — exactly the semantics closing a v1
-// control connection had.
+// their leases and are killed there.
 func (c *Client) Close() error {
 	var err error
 	c.closeOnce.Do(func() { err = c.conn.Close() })

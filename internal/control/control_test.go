@@ -20,14 +20,11 @@ import (
 )
 
 // TestFrameRoundTrip pins the wire layout: header fields survive, payloads
-// decode, and the magic byte can never collide with a v1 JSON opener.
+// decode, and a frame must open with the magic byte.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, FrameStart, 42, StartRequest{Session: 7, Index: 3}); err != nil {
 		t.Fatal(err)
-	}
-	if buf.Bytes()[0] == '{' {
-		t.Fatal("frame magic collides with JSON: v1 detection impossible")
 	}
 	if buf.Bytes()[0] != Magic {
 		t.Fatalf("first byte 0x%02x, want magic 0x%02x", buf.Bytes()[0], Magic)
@@ -47,9 +44,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("payload %+v", req)
 	}
 
-	// A legacy v1 JSON message must be rejected by its first byte.
+	// A JSON message is not a frame: its first byte is not the magic.
 	if _, err := readFrame(strings.NewReader(`{"op":"prepare"}`)); err == nil {
-		t.Fatal("v1 JSON accepted as a frame")
+		t.Fatal("JSON accepted as a frame")
 	}
 }
 

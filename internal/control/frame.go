@@ -3,9 +3,7 @@
 // broadcast sessions over exactly one long-lived TCP connection per
 // sender↔agent pair.
 //
-// The previous control plane spoke one JSON blob per message on one
-// connection per session, with "connection open" doubling as the session
-// liveness signal. This package replaces both properties:
+// Two properties carry it:
 //
 //   - Framing: every message is a fixed 14-byte header — magic, frame
 //     type, request ID, payload length — followed by a JSON payload.
@@ -16,12 +14,10 @@
 //
 //   - Liveness: per-session leases renewed by HEARTBEAT frames. An agent
 //     kills exactly the sessions whose leases lapse; the channel closing
-//     still ends every session on it, as before.
+//     ends every session on it.
 //
-// The first byte of every frame is Magic, which is deliberately not '{':
-// a legacy v1 dialer opens with a bare JSON object, so an agent detects
-// the protocol version from the first byte and serves both on the same
-// listening port.
+// The first byte of every frame is Magic: an agent closes a control
+// connection that opens with any other byte.
 package control
 
 import (
@@ -33,8 +29,7 @@ import (
 	"kascade/internal/core"
 )
 
-// Magic is the first byte of every control frame. It must never equal
-// '{' (0x7B), the first byte of a legacy v1 JSON control message.
+// Magic is the first byte of every control frame.
 const Magic = 0xA6
 
 // FrameType enumerates the control frames.

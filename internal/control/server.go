@@ -72,12 +72,12 @@ type serverConn struct {
 }
 
 // ServeConn serves one control connection until it closes. r carries the
-// (possibly peeked-into) read side of conn — the agent sniffs the first
-// byte to tell framed dialers from legacy v1 JSON ones. When the
-// connection drops, sessions that never started are released immediately
-// and running ones lose their renewal source: the lease sweeper keeps
-// running detached and ends each of them within one lease TTL. (The v1
-// protocol let orphaned nodes run to completion; leases bound that.)
+// (possibly peeked-into) read side of conn — the agent peeks at the first
+// byte to check it is the frame magic. When the connection drops,
+// sessions that never started are released immediately and running ones
+// lose their renewal source: the lease sweeper keeps running detached and
+// ends each of them within one lease TTL, so an orphaned node never runs
+// on unbounded.
 func (s *Server) ServeConn(conn net.Conn, r io.Reader) error {
 	clk := s.Clock
 	if clk == nil {

@@ -225,8 +225,7 @@ func (n *Node) runManager(ctx context.Context) error {
 		return n.finishAsTail(ctx)
 	}
 	if n.cfg.Index == 0 {
-		rep, _ := n.mergedReport()
-		n.setRingReport(rep)
+		n.setRingReport(n.mergedReport())
 		n.markPassed()
 		return nil
 	}
@@ -239,7 +238,7 @@ func (n *Node) runManager(ctx context.Context) error {
 		// every surviving spoke. Send a best-effort supplementary spoke
 		// before releasing PASSED upstream — node 0 cannot publish until
 		// our PASSED propagates, and Report.Merge collapses duplicates.
-		rep, _ := n.mergedReport()
+		rep := n.mergedReport()
 		for attempt := 0; attempt < n.opts.DialRetries; attempt++ {
 			if n.deliverRingReport(rep) == nil {
 				break

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,9 +47,8 @@ type Engine struct {
 	parkedIP map[string]int // parked connections per remote IP
 	nParked  int
 	closed   bool
-	// retired holds the most recently unregistered sessions, oldest first,
-	// at most retiredSessions of them: their connections are closed, not
-	// parked, until the ID registers again.
+	// retired holds the latest retiredSessions unregistered sessions,
+	// oldest first: their connections are closed, not parked.
 	retired []SessionID
 
 	// Monotonic admission / park counters (EngineStats).
@@ -253,9 +253,8 @@ type parkResolution struct {
 	h connHandler
 }
 
-// retiredSessions bounds the retired-session set an engine remembers. An
-// ID that has dropped out of it is parked again like any unknown session,
-// which costs at most a park slot until ParkTimeout.
+// retiredSessions bounds the retired-session set. An ID that dropped out
+// of it parks again like any unknown session's.
 const retiredSessions = 64
 
 // NewEngine binds addr on network and starts the shared accept loop.
@@ -284,13 +283,10 @@ func NewEngine(network transport.Network, addr string, opts EngineOptions) (*Eng
 	return e, nil
 }
 
-// NewSessionEngine binds addr on network and starts the private engine of
-// one peer of one broadcast run with opts: it keeps the session's clock,
-// budgets exactly the session's PoolReservation, and bounds a HELLO by the
-// session's GetTimeout. One scheduler worker serves it, since its one
-// session holds at most one seat and a seat at most one turn. The caller
-// closes it once the peer's node (and any other node of the session in the
-// process that shares it) has returned.
+// NewSessionEngine starts the private engine of one peer of a broadcast
+// run with opts, listening on addr: the session's clock, a budget of
+// exactly its PoolReservation, HELLOs bounded by its GetTimeout, and one
+// scheduler worker for its one seat. Close it once the node has returned.
 func NewSessionEngine(network transport.Network, addr string, opts Options) (*Engine, error) {
 	o := opts.withDefaults()
 	return NewEngine(network, addr, EngineOptions{
@@ -651,7 +647,7 @@ func (e *Engine) unregister(sid SessionID, h connHandler) {
 	e.used -= r.bytes
 	delete(e.reserved, sid)
 	if len(e.retired) == retiredSessions {
-		e.retired = append(e.retired[:0], e.retired[1:]...)
+		e.retired = e.retired[1:]
 	}
 	e.retired = append(e.retired, sid)
 	resolved := e.pumpAdmitQueueLocked()
@@ -659,25 +655,11 @@ func (e *Engine) unregister(sid SessionID, h connHandler) {
 	closeTickets(resolved)
 }
 
-// isRetiredLocked reports whether sid is in the retired set. Caller holds
-// e.mu.
-func (e *Engine) isRetiredLocked(sid SessionID) bool {
-	for _, r := range e.retired {
-		if r == sid {
-			return true
-		}
-	}
-	return false
-}
-
 // unretireLocked drops sid from the retired set: the session is back, by
 // admission or registration. Caller holds e.mu.
 func (e *Engine) unretireLocked(sid SessionID) {
-	for i, r := range e.retired {
-		if r == sid {
-			e.retired = append(e.retired[:i], e.retired[i+1:]...)
-			return
-		}
+	if i := slices.Index(e.retired, sid); i >= 0 {
+		e.retired = slices.Delete(e.retired, i, i+1)
 	}
 }
 
@@ -730,7 +712,7 @@ func (e *Engine) route(c transport.Conn) {
 		h.handleWire(w, role, from)
 		return
 	}
-	if e.closed || role == RolePing || e.nParked >= e.opts.MaxParked || e.isRetiredLocked(sid) {
+	if e.closed || role == RolePing || e.nParked >= e.opts.MaxParked || slices.Contains(e.retired, sid) {
 		e.mu.Unlock()
 		_ = w.close()
 		return

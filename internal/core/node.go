@@ -509,7 +509,7 @@ func (n *Node) run(ctx context.Context) (*Report, error) {
 				mgrErr = upErr
 			}
 		}
-		return n.snapshotReport(), mgrErr
+		return n.mergedReport(), mgrErr
 	}
 
 	if n.cfg.Index > 0 {
@@ -518,14 +518,14 @@ func (n *Node) run(ctx context.Context) (*Report, error) {
 		select {
 		case err := <-upErrC:
 			if err != nil {
-				return n.snapshotReport(), err
+				return n.mergedReport(), err
 			}
 		case <-n.clk.After(n.opts.ReportTimeout):
 			n.shutdown(fmt.Errorf("kascade: timed out relaying PASSED upstream"))
 			<-upErrC
-			return n.snapshotReport(), fmt.Errorf("kascade: timed out relaying PASSED upstream")
+			return n.mergedReport(), fmt.Errorf("kascade: timed out relaying PASSED upstream")
 		}
-		return n.snapshotReport(), nil
+		return n.mergedReport(), nil
 	}
 
 	// Sender: the ring report must have arrived (PASSED only propagates
@@ -535,8 +535,7 @@ func (n *Node) run(ctx context.Context) (*Report, error) {
 	case <-n.ringC:
 	default:
 		if n.isTail() {
-			rep, _ := n.mergedReport()
-			n.setRingReport(rep)
+			n.setRingReport(n.mergedReport())
 		}
 	}
 	select {
@@ -546,7 +545,7 @@ func (n *Node) run(ctx context.Context) (*Report, error) {
 		n.mu.Unlock()
 		return rep, nil
 	case <-n.clk.After(n.opts.ReportTimeout):
-		return n.snapshotReport(), fmt.Errorf("kascade: final report never arrived")
+		return n.mergedReport(), fmt.Errorf("kascade: final report never arrived")
 	}
 }
 
@@ -569,27 +568,6 @@ func (n *Node) listenerFailed(err error) {
 			n.shutdown(fmt.Errorf("kascade: listener failed: %w", err))
 		}
 	}
-}
-
-// snapshotReport returns this node's current merged view.
-func (n *Node) snapshotReport() *Report {
-	rep := &Report{}
-	n.mu.Lock()
-	if n.upReport != nil {
-		rep = n.upReport.Clone()
-	}
-	det := append([]Failure(nil), n.detected...)
-	n.mu.Unlock()
-	rep.Merge(&Report{Failures: det})
-	if end, ok := n.st.End(); ok && end > rep.TotalBytes {
-		rep.TotalBytes = end
-	} else if h := n.st.Head(); h > rep.TotalBytes {
-		rep.TotalBytes = h
-	}
-	if n.st.AbortCause() == ErrQuit {
-		rep.Aborted = true
-	}
-	return rep
 }
 
 func (n *Node) setRingReport(rep *Report) {
@@ -655,9 +633,9 @@ func (n *Node) isTail() bool {
 	return n.tail
 }
 
-// mergedReport snapshots the report to forward: upstream's view plus this
-// node's own detections.
-func (n *Node) mergedReport() (*Report, error) {
+// mergedReport snapshots this node's view of the report: upstream's view
+// plus its own detections.
+func (n *Node) mergedReport() *Report {
 	n.mu.Lock()
 	rep := n.upReport.Clone()
 	det := append([]Failure(nil), n.detected...)
@@ -671,14 +649,14 @@ func (n *Node) mergedReport() (*Report, error) {
 	if n.st.AbortCause() == ErrQuit {
 		rep.Aborted = true
 	}
-	return rep, nil
+	return rep
 }
 
 // awaitReport blocks until a report is available to forward.
 func (n *Node) awaitReport(ctx context.Context) (*Report, error) {
 	select {
 	case <-n.reportC:
-		return n.mergedReport()
+		return n.mergedReport(), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

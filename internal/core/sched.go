@@ -232,8 +232,13 @@ func (e *schedEntry) next(off uint64) schedTurn {
 
 // notifyReady is the store's readiness hook: the armed offset became
 // readable (or terminal). It runs under the store mutex — it only flips
-// scheduler state (lock order: store.mu → scheduler.mu).
-func (e *schedEntry) notifyReady() {
+// scheduler state (lock order: store.mu → scheduler.mu). It reports
+// whether the appender should hand its processor over: the seat was idle
+// at the first byte and is the engine's only one. A lone session forwards
+// cut-through that way; beside other sessions, whose forwarders keep the
+// processors busy anyway, a per-chunk yield only sends the appender to the
+// back of the run queue.
+func (e *schedEntry) notifyReady() (handOver bool) {
 	s := e.s
 	s.mu.Lock()
 	switch {
@@ -242,12 +247,14 @@ func (e *schedEntry) notifyReady() {
 		e.state = entryReady
 		s.runq = append(s.runq, e)
 		s.cond.Signal()
+		handOver = e.want == 1 && len(s.all) == 1
 	default:
 		// Ready or mid-claim: remember the edge so the worker re-queues
 		// instead of idling on a stale poll.
 		e.pending = true
 	}
 	s.mu.Unlock()
+	return handOver
 }
 
 // worker pulls ready entries off the run queue and serves each one turn.

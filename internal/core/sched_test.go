@@ -311,3 +311,49 @@ func TestSchedulerFlushTimer(t *testing.T) {
 	}
 	releaseTurn(turn)
 }
+
+// TestSchedulerHandsOverOnlyALoneIdleSeat: the chunk that wakes a seat
+// parked at the first byte asks its appender for the processor while the
+// seat is the engine's only one, and not once a second session is seated.
+func TestSchedulerHandsOverOnlyALoneIdleSeat(t *testing.T) {
+	s := newScheduler(1, 1<<20, 0, DefaultClasses(), nil)
+	defer s.close()
+	const chunk = 256
+	appendOne := func(st *windowStore) int {
+		woken, err := st.Append(st.pool.get(chunk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return woken
+	}
+	// parked waits for the entry's next turn to arm the store and go idle.
+	parked := func(e *schedEntry) chan schedTurn {
+		ch := collectTurn(e, 0)
+		waitCond(t, 2*time.Second, func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return e.state == entryIdle
+		})
+		return ch
+	}
+
+	lone := schedTestStore(chunk, 8)
+	e := s.register(lone, ClassBulk, 1<<20, chunk)
+	turn := parked(e)
+	if woken := appendOne(lone); woken != 1 {
+		t.Fatalf("chunk for the engine's lone idle seat: woken %d, want 1", woken)
+	}
+	releaseTurn(mustTurn(t, turn, "lone seat"))
+	lone.ResetLowWater(chunk)
+
+	other := s.register(schedTestStore(chunk, 8), ClassBulk, 1<<20, chunk)
+	defer s.detach(other)
+	shared := schedTestStore(chunk, 8)
+	e2 := s.register(shared, ClassBulk, 1<<20, chunk)
+	defer s.detach(e2)
+	turn = parked(e2)
+	if woken := appendOne(shared); woken != 0 {
+		t.Fatalf("chunk for an idle seat beside another session: woken %d, want 0", woken)
+	}
+	releaseTurn(mustTurn(t, turn, "shared seat"))
+}

@@ -139,6 +139,10 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	}
 	peers := append([]Peer(nil), cfg.Peers...)
 	owned := &engineSet{}
+	fail := func(err error) (*Session, error) {
+		owned.close()
+		return nil, err
+	}
 	engines := make([]*Engine, len(peers))
 	for i := range peers {
 		if cfg.EngineFor != nil {
@@ -146,8 +150,7 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		} else {
 			e, err := NewSessionEngine(cfg.NetworkFor(i), peers[i].Addr, cfg.Opts)
 			if err != nil {
-				owned.close()
-				return nil, err
+				return fail(err)
 			}
 			owned.engines = append(owned.engines, e)
 			engines[i] = e
@@ -157,8 +160,7 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 
 	plan := Plan{Peers: peers, Opts: cfg.Opts, Session: cfg.Session, Topology: cfg.Topology}
 	if err := plan.Validate(); err != nil {
-		owned.close()
-		return nil, err
+		return fail(err)
 	}
 
 	nodes := make([]*Node, len(peers))
@@ -181,8 +183,7 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		}
 		n, err := NewNode(nc)
 		if err != nil {
-			owned.close()
-			return nil, err
+			return fail(err)
 		}
 		nodes[i] = n
 	}
@@ -220,18 +221,16 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
-// engineSet holds the private engines a session built for its members in
-// this process. They close together once every node of the session here
-// (late joiners included) has returned, so a finished node's address
-// refuses its session's connections without refusing a dial.
+// engineSet holds the private engines a session built in this process.
+// They close together once every node of the session here, late joiners
+// included, has returned.
 type engineSet struct {
 	mu      sync.Mutex
 	live    int // nodes of the session still running in this process
 	engines []*Engine
 }
 
-// add counts one more running node, with the private engine it brought
-// (nil when it runs on a caller's engine).
+// add counts a starting node and the private engine it brought, if any.
 func (s *engineSet) add(e *Engine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

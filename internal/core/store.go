@@ -71,8 +71,10 @@ type store interface {
 	PollChunkAt(off uint64) (*chunk, error)
 	// SetNotify installs the store's readiness hook: an edge-triggered
 	// callback fired (at most once per ArmNotify) when the armed offset
-	// becomes readable or a terminal condition arrives. Nil clears it.
-	SetNotify(fn func())
+	// becomes readable or a terminal condition arrives. It reports whether
+	// it woke a forwarder that should be handed the processor (see
+	// Node.ingest). Nil clears it.
+	SetNotify(fn func() bool)
 	// ArmNotify arms a one-shot notification for off: fire once `want`
 	// bytes from off are buffered (the store clamps want to what its
 	// capacity can ever hold, so the threshold is always crossable), or
@@ -145,16 +147,14 @@ type windowStore struct {
 	// readable (or a terminal condition arrives), then disarmed. This is
 	// what batches wakeups — the engine scheduler is notified once per
 	// drain cycle instead of the downstream goroutine waking per chunk.
-	notify   func()
+	notify   func() bool
 	notifyAt uint64
 	armed    bool
-	// firstByte marks an arm that waits for the first byte (want 1): an
-	// idle scheduler seat. A seat armed at a quantum is batching. waking is
-	// set when a first-byte arm fires and cleared by the next low-water
-	// report, which comes once the seat's forwarder has sent what it was
-	// woken for: until then Append counts the seat as a woken consumer.
-	firstByte bool
-	waking    bool
+	// waking is set when the notify reports it woke a forwarder to hand
+	// the processor to, and cleared when that forwarder reports a
+	// low-water mark, having sent what it was woken for: until then
+	// Append counts it as a woken consumer.
+	waking bool
 }
 
 func newWindowStore(chunkSize, windowChunks int, pool *chunkPool) *windowStore {
@@ -203,8 +203,7 @@ func (s *windowStore) maybeNotifyLocked() {
 	if s.armed && s.readyLocked(s.notifyAt) {
 		s.armed = false
 		if s.notify != nil {
-			s.notify()
-			s.waking = s.firstByte
+			s.waking = s.notify()
 		}
 	}
 }
@@ -227,8 +226,8 @@ func (s *windowStore) evictLocked() {
 //
 // It returns how many idle consumers the chunk found woken but not yet
 // done: those parked in ChunkAt (a store has one appender, so every other
-// parked goroutine is a ChunkAt consumer), plus a scheduler seat whose
-// first-byte notify fired and whose forwarder has not reported since.
+// parked goroutine is a ChunkAt consumer), plus a forwarder the notify
+// woke (see SetNotify) that has not reported a low-water mark since.
 func (s *windowStore) Append(c *chunk) (woken int, err error) {
 	size := len(c.bytes())
 	if size == 0 || len(s.ring) == 0 {
@@ -298,15 +297,6 @@ func (s *windowStore) tally(n uint64) error {
 	return nil
 }
 
-// AppendBytes copies b into a pooled chunk and appends it. Convenience for
-// callers (and tests) that do not manage chunk references themselves.
-func (s *windowStore) AppendBytes(b []byte) error {
-	c := s.pool.get(len(b))
-	copy(c.bytes(), b)
-	_, err := s.Append(c)
-	return err
-}
-
 // Finish marks the end of the stream at offset total.
 func (s *windowStore) Finish(total uint64) {
 	s.mu.Lock()
@@ -356,7 +346,7 @@ func (s *windowStore) PollChunkAt(off uint64) (*chunk, error) {
 	}
 }
 
-func (s *windowStore) SetNotify(fn func()) {
+func (s *windowStore) SetNotify(fn func() bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.notify = fn
@@ -389,7 +379,6 @@ func (s *windowStore) ArmNotify(off uint64, want int) bool {
 	}
 	s.notifyAt = at
 	s.armed = true
-	s.firstByte = want == 1
 	return true
 }
 
@@ -491,13 +480,6 @@ func (s *windowStore) rebase(off uint64) {
 	if s.lowWater < off {
 		s.lowWater = off
 	}
-}
-
-// Base returns the smallest retained offset (for tests and diagnostics).
-func (s *windowStore) Base() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.base
 }
 
 // fileStore is the random-access source store used when the input is a
@@ -614,7 +596,7 @@ func (s *fileStore) TryChunkAt(off uint64) (*chunk, bool) {
 func (s *fileStore) PollChunkAt(off uint64) (*chunk, error) { return s.ChunkAt(off) }
 
 // SetNotify is a no-op: a file store is always ready, nothing to wait for.
-func (s *fileStore) SetNotify(func()) {}
+func (s *fileStore) SetNotify(func() bool) {}
 
 // ArmNotify always reports "ready now": the caller should poll, not wait.
 func (s *fileStore) ArmNotify(uint64, int) bool { return false }

@@ -213,14 +213,14 @@ func TestWindowStoreAppendReportsParkedConsumers(t *testing.T) {
 	}
 }
 
-// TestWindowStoreAppendCountsIdleSeat: a scheduler seat armed at the first
-// byte counts as a woken consumer from the Append that fires it until its
-// forwarder next reports a low-water mark; a seat armed at a quantum never
-// does.
+// TestWindowStoreAppendCountsIdleSeat: a forwarder whose notify asks for
+// the processor counts as a woken consumer from the Append that fires it
+// until it next reports a low-water mark; one whose notify does not ask
+// never does.
 func TestWindowStoreAppendCountsIdleSeat(t *testing.T) {
 	s := newWindowStore(4, 8, nil)
 	fired := 0
-	s.SetNotify(func() { fired++ })
+	s.SetNotify(func() bool { fired++; return fired == 1 })
 	appendOne := func() int {
 		woken, err := s.Append(s.pool.get(4))
 		if err != nil {
@@ -232,7 +232,7 @@ func TestWindowStoreAppendCountsIdleSeat(t *testing.T) {
 		t.Fatal("empty store not armed")
 	}
 	if woken := appendOne(); woken != 1 || fired != 1 {
-		t.Fatalf("first byte for an idle seat: woken %d, fired %d; want 1, 1", woken, fired)
+		t.Fatalf("notify asking for the processor: woken %d, fired %d; want 1, 1", woken, fired)
 	}
 	if woken := appendOne(); woken != 1 {
 		t.Fatalf("append before the seat's forwarder reported: woken %d, want 1", woken)
@@ -248,7 +248,7 @@ func TestWindowStoreAppendCountsIdleSeat(t *testing.T) {
 		t.Fatalf("append under a quantum arm: woken %d, want 0", woken)
 	}
 	if woken := appendOne(); woken != 0 || fired != 2 {
-		t.Fatalf("append that fills the quantum: woken %d, fired %d; want 0, 2", woken, fired)
+		t.Fatalf("notify not asking for the processor: woken %d, fired %d; want 0, 2", woken, fired)
 	}
 }
 
@@ -345,4 +345,13 @@ func TestFileStoreChunks(t *testing.T) {
 	if _, err := fs.ChunkAt(0); !errors.Is(err, ErrQuit) {
 		t.Fatalf("abort not honoured: %v", err)
 	}
+}
+
+// AppendBytes copies b into a pooled chunk and appends it, for tests that
+// do not manage chunk references themselves.
+func (s *windowStore) AppendBytes(b []byte) error {
+	c := s.pool.get(len(b))
+	copy(c.bytes(), b)
+	_, err := s.Append(c)
+	return err
 }
