@@ -66,16 +66,17 @@ func (n *Node) readData(w *wire) (c *chunk, size int, err error) {
 // the sink write. A nil c is a leaf's payload held whole by its stage,
 // which moves it into the sink.
 //
-// A relay forwards cut-through. When the chunk woke exactly one idle
+// A relay forwards cut-through. When the chunk found exactly one woken
 // consumer, that consumer is the relay's forwarder, and ingest yields its
 // processor after the sink write, so the chunk leaves for the successor
 // before the next frame is read. On a chain the forwarder holds a
-// scheduler seat, and it is idle when the seat's notify waited for the
-// first byte: the yield lets the engine's worker claim the chunk and hand
-// it over. Without the yield the runtime queues the woken goroutine behind
-// this one, which does not block while its upstream's batch is still in
-// the pipe: the relay would ingest the whole batch first. A busy
-// forwarder, or a seat armed at a full quantum, keeps batching. A tree
+// scheduler seat, woken when its notify fired at the first byte on an
+// engine with no other seat (windowStore.Append, schedEntry.notifyReady):
+// the yield lets the engine's worker claim the chunk and hand it over.
+// Without the yield the runtime queues the woken goroutine behind this
+// one, which does not block while its upstream's batch is still in the
+// pipe: the relay would ingest the whole batch first. A forwarder that
+// was busy, or a seat armed at a full quantum, keeps batching. A tree
 // relay that woke several forwarders parked in ChunkAt does not yield: a
 // tree already keeps the cores busy, and per-chunk trips through the run
 // queue only cost it CPU.

@@ -344,7 +344,6 @@ func TestSchedulerHandsOverOnlyALoneIdleSeat(t *testing.T) {
 		t.Fatalf("chunk for the engine's lone idle seat: woken %d, want 1", woken)
 	}
 	releaseTurn(mustTurn(t, turn, "lone seat"))
-	lone.ResetLowWater(chunk)
 
 	other := s.register(schedTestStore(chunk, 8), ClassBulk, 1<<20, chunk)
 	defer s.detach(other)

@@ -151,8 +151,8 @@ type windowStore struct {
 	notifyAt uint64
 	armed    bool
 	// waking is set when the notify reports it woke a forwarder to hand
-	// the processor to, and cleared when that forwarder reports a
-	// low-water mark, having sent what it was woken for: until then
+	// the processor to, and cleared when the seat next arms, having caught
+	// up: until then, while the forwarder claims and sends what arrives,
 	// Append counts it as a woken consumer.
 	waking bool
 }
@@ -227,7 +227,7 @@ func (s *windowStore) evictLocked() {
 // It returns how many idle consumers the chunk found woken but not yet
 // done: those parked in ChunkAt (a store has one appender, so every other
 // parked goroutine is a ChunkAt consumer), plus a forwarder the notify
-// woke (see SetNotify) that has not reported a low-water mark since.
+// woke (see SetNotify) whose seat has not armed again since.
 func (s *windowStore) Append(c *chunk) (woken int, err error) {
 	size := len(c.bytes())
 	if size == 0 || len(s.ring) == 0 {
@@ -379,6 +379,7 @@ func (s *windowStore) ArmNotify(off uint64, want int) bool {
 	}
 	s.notifyAt = at
 	s.armed = true
+	s.waking = false
 	return true
 }
 
@@ -414,7 +415,6 @@ func (s *windowStore) ResetLowWater(off uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lowWater = off
-	s.waking = false
 	s.wakeLocked()
 }
 
