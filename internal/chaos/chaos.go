@@ -253,16 +253,16 @@ func (sc Scenario) Schedule() string {
 // the scenario, test that test's t.Name(), and flags whatever else the case
 // needs, such as "-chaos.seed=1".
 func (sc Scenario) Repro(pkg, test string, flags ...string) string {
-	cmd := append([]string{"go test", pkg, "-race -run", "'" + RunPattern(test) + "'"}, flags...)
+	cmd := append([]string{"go test", pkg, "-race -run", "'" + runPattern(test) + "'"}, flags...)
 	return fmt.Sprintf(
 		"reproduce: %s\nschedule (%d nodes, %d B payload, %d B chunks, window %d, stream=%v):\n%s",
 		strings.Join(cmd, " "), sc.Nodes, sc.PayloadSize, sc.ChunkSize, sc.WindowChunks, sc.Stream, sc.Schedule())
 }
 
-// RunPattern returns the go test -run pattern that selects exactly the
+// runPattern returns the go test -run pattern that selects exactly the
 // test named name, as t.Name() prints it: each slash-separated element,
 // one level of subtests, is matched whole and literally.
-func RunPattern(name string) string {
+func runPattern(name string) string {
 	elems := strings.Split(name, "/")
 	for i, e := range elems {
 		elems[i] = "^" + regexp.QuoteMeta(e) + "$"
