@@ -87,7 +87,7 @@ func TestRelayPathAllocs(t *testing.T) {
 		now:    n.clk.Now,
 		stall:  opts.WriteStallTimeout,
 		budget: opts.FetchTimeout,
-		probe:  func() bool { return true },
+		probe:  func() (bool, bool) { return true, false },
 	}
 
 	go func() { // predecessor: DATA frames as fast as the relay takes them

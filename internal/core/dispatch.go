@@ -16,11 +16,12 @@ func (n *Node) handleWire(w *wire, role Role, from int) {
 	w.now = n.clk.Now
 	switch role {
 	case RolePing:
-		// Liveness probe (§III-D1): answer promptly even mid-transfer.
+		// Liveness probe (§III-D1): answer promptly even mid-transfer,
+		// and say whether this node's own successors hold it back.
 		w.setReadDeadlineIn(n.opts.PingTimeout)
 		if typ, err := w.readType(); err == nil && typ == MsgPing {
 			w.setWriteDeadlineIn(n.opts.PingTimeout)
-			_ = w.writePong()
+			_ = w.writePong(n.ws != nil && n.ws.heldBack())
 		}
 		_ = w.close()
 	case RoleData:

@@ -330,13 +330,14 @@ func (n *Node) serveSuccessor(ctx context.Context, succ int, cur *childCursor, q
 		return outcomeDead, nil
 	}
 	w := n.newWire(conn)
-	w.out = &stallWriter{
+	sw := &stallWriter{
 		conn:   conn,
 		now:    n.clk.Now,
 		stall:  n.opts.WriteStallTimeout,
 		budget: n.opts.FetchTimeout,
-		probe:  func() bool { return n.probe(peer.Addr) },
+		probe:  func() (bool, bool) { return n.probe(peer.Addr) },
 	}
+	w.out = sw
 	defer w.close()
 
 	if werr := w.writeHello(RoleData, n.cfg.Index, n.sid); werr != nil {
@@ -362,8 +363,12 @@ func (n *Node) serveSuccessor(ctx context.Context, succ int, cur *childCursor, q
 	// §V extension: measure the successor's drain rate (time actually
 	// spent inside writes, so a data-starved pipeline is never mistaken
 	// for a slow node) and exclude it when MinThroughput is configured.
-	// The same busy-time samples feed the link's EWMA meter (the rerank
-	// planner's evidence) and the engine scheduler's adaptive quanta.
+	// The verdict leaves out the stalls in which the successor said its
+	// own successors held it back: a chain behind one slow node is slow
+	// all the way up, and only that node's predecessor may exclude it.
+	// The busy-time samples, stalls included, feed the link's EWMA meter
+	// (the rerank planner's evidence) and the engine scheduler's adaptive
+	// quanta.
 	meter := n.rates.meter(succ)
 	var window rateWindow
 
@@ -432,7 +437,7 @@ streamLoop:
 			cur.set(off)
 			meter.sample(batchBytes, busy)
 			n.sentry.observeRate(meter.rate())
-			window.observe(batchBytes, busy, n.opts.SlowNodeGrace)
+			window.observe(batchBytes, busy-sw.held, n.opts.SlowNodeGrace)
 			if rate, exclude := window.cull(n.opts.SlowNodeGrace, n.opts.MinThroughput); exclude {
 				// The paper's §V malfunctioning-node case: tell
 				// the slow node to step aside and route around
@@ -632,7 +637,7 @@ func (n *Node) classifyConnErr(ctx context.Context, err error, succ int, addr st
 		}
 		return outcomeDead, nil
 	}
-	if n.probe(addr) {
+	if alive, _ := n.probe(addr); alive {
 		return outcomeRetry, nil
 	}
 	if !quiet {
@@ -680,8 +685,10 @@ func (n *Node) expectType(ctx context.Context, w *wire, succ int, addr string, w
 		}
 		if transport.IsTimeout(err) {
 			remaining -= stall
-			if remaining > 0 && n.probe(addr) {
-				continue
+			if remaining > 0 {
+				if alive, _ := n.probe(addr); alive {
+					continue
+				}
 			}
 			if want == MsgPassed {
 				// A successor that completed its lifecycle detaches right
@@ -736,7 +743,12 @@ type stallWriter struct {
 	now    func() time.Time
 	stall  time.Duration
 	budget time.Duration // total patience with a live-but-stuck peer
-	probe  func() bool
+	probe  func() (alive, held bool)
+
+	// held is how long the last WriteBuffers call stalled in intervals
+	// whose ping found the successor held back by its own successors:
+	// back-pressure from further down, not the successor's own drain.
+	held time.Duration
 
 	vec    [][]byte // scratch copy of WriteBuffers input, consumed on resume
 	single [1][]byte
@@ -764,6 +776,7 @@ func (s *stallWriter) WriteBuffers(bufs [][]byte) (int64, error) {
 	pending := s.vec
 	var total int64
 	remaining := s.budget
+	s.held = 0
 	for {
 		for len(pending) > 0 && len(pending[0]) == 0 {
 			pending = pending[1:]
@@ -771,7 +784,8 @@ func (s *stallWriter) WriteBuffers(bufs [][]byte) (int64, error) {
 		if len(pending) == 0 {
 			return total, nil
 		}
-		_ = s.conn.SetWriteDeadline(s.now().Add(s.stall))
+		attempt := s.now()
+		_ = s.conn.SetWriteDeadline(attempt.Add(s.stall))
 		nn, err := transport.WriteBuffers(s.conn, pending)
 		total += nn
 		if err == nil {
@@ -785,7 +799,11 @@ func (s *stallWriter) WriteBuffers(bufs [][]byte) (int64, error) {
 			if remaining <= 0 {
 				return total, &peerDeadError{reason: fmt.Sprintf("write made no progress for %v", s.budget)}
 			}
-			if s.probe() {
+			alive, held := s.probe()
+			if held {
+				s.held += s.now().Sub(attempt)
+			}
+			if alive {
 				continue
 			}
 			return total, &peerDeadError{reason: "write stalled and ping unanswered", cause: err}

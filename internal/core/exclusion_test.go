@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"kascade/internal/transport"
 )
 
 // TestSlowNodeExclusion exercises the paper's §V future-work extension: a
@@ -118,6 +120,120 @@ func TestSlowSourceDoesNotTriggerExclusion(t *testing.T) {
 	}
 	checkSink(t, env, 1, data)
 	checkSink(t, env, 2, data)
+}
+
+// TestPongSaysHeldBack pins the evidence the §V verdict reads: a window
+// full of chunks no successor consumed is held back, a slow sink's is not
+// (it is never full), and the PONG carries the state in a status byte that
+// a bare PONG, closed right after its type byte, reads as not held.
+func TestPongSaysHeldBack(t *testing.T) {
+	ws := newWindowStore(4, 2, nil)
+	if ws.heldBack() {
+		t.Fatal("empty window held back")
+	}
+	for i := 0; i < 2; i++ {
+		if err := ws.AppendBytes([]byte{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !ws.heldBack() {
+		t.Fatal("full window of unconsumed chunks not held back")
+	}
+	ws.ResetLowWater(4) // the successor consumed the oldest chunk
+	if ws.heldBack() {
+		t.Fatal("window with a consumed chunk to evict still held back")
+	}
+
+	fabric := transport.NewFabric(0)
+	l, err := fabric.Host("b").Listen(":1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, tc := range []struct {
+		name       string
+		send       func(w *wire) error
+		alive, got bool
+	}{
+		{"held", func(w *wire) error { return w.writePong(true) }, true, true},
+		{"free", func(w *wire) error { return w.writePong(false) }, true, false},
+		{"bare", func(w *wire) error { return w.writeType(MsgPong) }, true, false},
+	} {
+		c, err := fabric.Host("a").Dial("b:1", time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.send(newWire(srv, SystemClock())); err != nil {
+			t.Fatal(err)
+		}
+		_ = srv.Close()
+		w := newWire(c, SystemClock())
+		_ = c.SetReadDeadline(time.Now().Add(time.Second))
+		typ, err := w.readType()
+		if err != nil || typ != MsgPong {
+			t.Fatalf("%s: read %v, %v; want PONG", tc.name, typ, err)
+		}
+		if held := w.readPongStatus(); held != tc.got {
+			t.Fatalf("%s: PONG status held=%v, want %v", tc.name, held, tc.got)
+		}
+		_ = c.Close()
+	}
+}
+
+// TestStallWriterSparesHeldStalls: the stalls of a write whose ping found
+// the successor held back are booked apart from its own drain time, so the
+// §V window judges the successor only on the time it could have read.
+func TestStallWriterSparesHeldStalls(t *testing.T) {
+	for _, held := range []bool{true, false} {
+		fabric := transport.NewFabric(1 << 10)
+		l, err := fabric.Host("b").Listen(":1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := fabric.Host("a").Dial("b:1", time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { // a successor that reads nothing for 200 ms, then drains
+			time.Sleep(200 * time.Millisecond)
+			_, _ = io.Copy(io.Discard, srv)
+		}()
+		probes := 0
+		sw := &stallWriter{
+			conn:   c,
+			now:    time.Now,
+			stall:  20 * time.Millisecond,
+			budget: 5 * time.Second,
+			probe: func() (bool, bool) {
+				probes++
+				return true, held
+			},
+		}
+		start := time.Now()
+		if _, err := sw.Write(make([]byte, 16<<10)); err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		_ = c.Close()
+		_ = l.Close()
+		if probes == 0 {
+			t.Fatal("the write never stalled")
+		}
+		switch {
+		case held && (sw.held < 100*time.Millisecond || sw.held > elapsed):
+			t.Fatalf("held successor: booked %v of a %v write as held, want most of it", sw.held, elapsed)
+		case !held && sw.held != 0:
+			t.Fatalf("free successor: booked %v as held, want 0", sw.held)
+		}
+	}
 }
 
 // pacedReader drips its payload at a fixed rate.

@@ -15,23 +15,27 @@ import (
 // the data plane (dataplane.go, store.go, downstream.go); this layer only
 // decides who feeds it and what happens when they die.
 
-// probe dials addr and plays one PING/PONG exchange; it reports liveness.
-func (n *Node) probe(addr string) bool {
+// probe dials addr and plays one PING/PONG exchange; it reports liveness
+// and the PONG's status: whether the peer is held back by its own
+// successors.
+func (n *Node) probe(addr string) (alive, held bool) {
 	c, err := n.cfg.Network.Dial(addr, n.opts.PingTimeout)
 	if err != nil {
-		return false
+		return false, false
 	}
 	defer c.Close()
 	_ = c.SetDeadline(n.clk.Now().Add(n.opts.PingTimeout))
 	w := n.newWire(c)
 	if err := w.writeHello(RolePing, n.cfg.Index, n.sid); err != nil {
-		return false
+		return false, false
 	}
 	if err := w.writePing(); err != nil {
-		return false
+		return false, false
 	}
-	typ, err := w.readType()
-	return err == nil && typ == MsgPong
+	if typ, err := w.readType(); err != nil || typ != MsgPong {
+		return false, false
+	}
+	return true, w.readPongStatus()
 }
 
 // ---------------------------------------------------------------------------

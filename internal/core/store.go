@@ -252,11 +252,7 @@ func (s *windowStore) Append(c *chunk) (woken int, err error) {
 		// successor. Unconsumed chunks are never dropped — the appender
 		// waits instead, which is the pipeline's back-pressure — except
 		// on a released store, which has nobody left to replay for.
-		for s.count == len(s.ring) {
-			oldest := s.ring[s.start]
-			if !s.released && s.base+uint64(len(oldest.bytes())) > s.lowWater {
-				break
-			}
+		for s.count == len(s.ring) && !s.pinnedLocked() {
 			s.evictLocked()
 		}
 		if s.count < len(s.ring) {
@@ -274,6 +270,24 @@ func (s *windowStore) Append(c *chunk) (woken int, err error) {
 		woken++
 	}
 	return woken, nil
+}
+
+// pinnedLocked reports whether the oldest chunk is still owed to a
+// successor: not consumed below the low-water mark, on a store that
+// replays. Caller holds s.mu and the ring is not empty.
+func (s *windowStore) pinnedLocked() bool {
+	return !s.released && s.base+uint64(len(s.ring[s.start].bytes())) > s.lowWater
+}
+
+// heldBack reports whether the window is full of chunks a successor has not
+// consumed. The next Append waits, so the node has stopped reading its
+// upstream, and the reason lies downstream of it: a predecessor judging
+// this node's drain (§V) must not charge that wait to it. A slow sink never
+// shows here: it delays the ingest, not the successors' consumption.
+func (s *windowStore) heldBack() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.ring) > 0 && s.count == len(s.ring) && s.pinnedLocked()
 }
 
 // tally counts n more bytes of the stream without keeping them: the whole

@@ -556,7 +556,28 @@ func (w *wire) writeType(t MsgType) error {
 
 func (w *wire) writePassed() error { return w.writeType(MsgPassed) }
 func (w *wire) writePing() error   { return w.writeType(MsgPing) }
-func (w *wire) writePong() error   { return w.writeType(MsgPong) }
+
+// writePong answers a PING: the PONG type byte, then one status byte whose
+// bit 0 says the answering node is held back by its own successors (see
+// windowStore.heldBack). A prober that reads only the type byte ignores it.
+func (w *wire) writePong(held bool) error {
+	w.hdr[0] = byte(MsgPong)
+	w.hdr[1] = 0
+	if held {
+		w.hdr[1] = pongHeld
+	}
+	return w.writeAll(w.hdr[:2])
+}
+
+// pongHeld is the PONG status bit of a node held back by its successors.
+const pongHeld = 1
+
+// readPongStatus reads the status byte that follows a PONG type byte. A
+// peer that answered with the bare type byte and closed reads as not held.
+func (w *wire) readPongStatus() (held bool) {
+	b, err := w.br.ReadByte()
+	return err == nil && b&pongHeld != 0
+}
 
 // setReadDeadlineIn sets the connection read deadline d from now
 // (zero d clears it).
