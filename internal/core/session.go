@@ -105,12 +105,11 @@ type Session struct {
 	Nodes []*Node
 	Plan  Plan
 
-	clk     Clock
-	start   time.Time
-	wg      *sync.WaitGroup
-	engines *engineSet
-	res     *SessionResult
-	sender  struct {
+	clk    Clock
+	start  time.Time
+	wg     *sync.WaitGroup
+	res    *SessionResult
+	sender struct {
 		report *Report
 		err    error
 	}
@@ -131,19 +130,23 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) 
 // StartSession builds or finds every member's engine, builds the nodes and
 // launches them, then returns immediately with the live session. A member
 // without an EngineFor engine gets a private one (NewSessionEngine), bound
-// up front so that no dial races a listen; private engines close once
-// every node of the session in this process has returned.
+// up front so that no dial races a listen, and closed when its node
+// returns.
 func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	peers := append([]Peer(nil), cfg.Peers...)
-	owned := &engineSet{}
+	engines := make([]*Engine, len(peers))
+	owned := make([]*Engine, len(peers)) // the private ones; nil where shared
 	fail := func(err error) (*Session, error) {
-		owned.close()
+		for _, e := range owned {
+			if e != nil {
+				_ = e.Close()
+			}
+		}
 		return nil, err
 	}
-	engines := make([]*Engine, len(peers))
 	for i := range peers {
 		if cfg.EngineFor != nil {
 			engines[i] = cfg.EngineFor(i)
@@ -152,7 +155,7 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 			if err != nil {
 				return fail(err)
 			}
-			owned.engines = append(owned.engines, e)
+			owned[i] = e
 			engines[i] = e
 		}
 		peers[i].Addr = engines[i].Addr() // resolve ephemeral ports
@@ -193,23 +196,23 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	// system clock, or Elapsed drifts from the simulated timeline.
 	clk := cfg.Opts.withDefaults().Clock
 	s := &Session{
-		Nodes:   nodes,
-		Plan:    plan,
-		clk:     clk,
-		wg:      &sync.WaitGroup{},
-		engines: owned,
+		Nodes: nodes,
+		Plan:  plan,
+		clk:   clk,
+		wg:    &sync.WaitGroup{},
 		res: &SessionResult{
 			NodeErrs: make([]error, len(peers)),
 			Received: make([]uint64, len(peers)),
 		},
 		start: clk.Now(),
 	}
-	owned.live = len(nodes)
 	for i := range nodes {
 		s.wg.Add(1)
 		go func(i int) {
 			defer s.wg.Done()
-			defer owned.done()
+			if e := owned[i]; e != nil {
+				defer e.Close()
+			}
 			rep, err := nodes[i].Run(ctx)
 			s.res.NodeErrs[i] = err
 			if i == 0 {
@@ -219,47 +222,6 @@ func StartSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		}(i)
 	}
 	return s, nil
-}
-
-// engineSet holds the private engines a session built in this process.
-// They close together once every node of the session here, late joiners
-// included, has returned.
-type engineSet struct {
-	mu      sync.Mutex
-	live    int // nodes of the session still running in this process
-	engines []*Engine
-}
-
-// add counts a starting node and the private engine it brought, if any.
-func (s *engineSet) add(e *Engine) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.live++
-	if e != nil {
-		s.engines = append(s.engines, e)
-	}
-}
-
-// done counts one node as returned, closing the engines with the last one.
-func (s *engineSet) done() {
-	s.mu.Lock()
-	s.live--
-	last := s.live == 0
-	s.mu.Unlock()
-	if last {
-		s.close()
-	}
-}
-
-// close closes every engine in the set.
-func (s *engineSet) close() {
-	s.mu.Lock()
-	engines := s.engines
-	s.engines = nil
-	s.mu.Unlock()
-	for _, e := range engines {
-		_ = e.Close()
-	}
 }
 
 // JoinConfig describes one late joiner of an in-process session: the
@@ -275,7 +237,7 @@ type JoinConfig struct {
 	// engine: its admission (accept/queue/refuse, typed *AdmissionError)
 	// runs before the graft, and the engine's listener carries the
 	// joiner's connections. Without it the joiner gets a private engine on
-	// Network, which closes with the session's other private engines.
+	// Network, which closes when the joiner returns.
 	Engine *Engine
 	// Sink receives the complete payload (catch-up bytes first, in
 	// order); nil discards.
@@ -388,10 +350,11 @@ func (s *Session) Join(ctx context.Context, jc JoinConfig) (*JoinHandle, error) 
 		return cleanup(err)
 	}
 	h := &JoinHandle{Node: n, Grant: grant, done: make(chan struct{})}
-	s.engines.add(private)
 	go func() {
 		defer close(h.done)
-		defer s.engines.done()
+		if private != nil {
+			defer private.Close()
+		}
 		h.rep, h.err = n.Run(ctx)
 	}()
 	return h, nil
